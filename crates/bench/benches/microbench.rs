@@ -332,11 +332,12 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
-/// The work-stealing sweep fabric against a plain sequential fold over the
-/// identical 8-job matrix (4 protocols x 2 seeds on a small scenario): the
-/// gap is the fabric's coordination cost — deque setup, the steal sweep and
-/// the ordered result merge — since both paths run the very same
-/// simulations through the shared [`ScenarioCache`].
+/// The work-stealing sweep fabric on 4 workers against a plain sequential
+/// fold over the identical 8-job matrix (4 protocols x 2 seeds on a small
+/// scenario): both paths run the very same simulations through the shared
+/// [`ScenarioCache`], so the gap is the fabric's parallel speed-up net of
+/// its coordination cost — thread spawn, the block takes and steals, and
+/// the ordered result merge.
 fn bench_matrix_fabric(c: &mut Criterion) {
     use dtn_bench::{
         run_matrix_records, ProtocolKind, ProtocolSpec, RunSpec, ScenarioCache,
@@ -367,7 +368,7 @@ fn bench_matrix_fabric(c: &mut Criterion) {
     };
     black_box(run_matrix_records(&cache, &specs, warm).len());
     for (label, threads) in [
-        ("matrix_fabric_vs_ticket", 4usize),
+        ("matrix_fabric_4_workers", 4usize),
         ("matrix_sequential_fold", 1),
     ] {
         let cfg = SweepConfig {

@@ -14,10 +14,12 @@
 
 use dtn_bench::report::{CommonArgs, OutputSpec, ReportSpec, RunRecord};
 use dtn_bench::{
-    replay_artifact, resolve_store, run_on_observed, run_stream, ProbeSpec, ProtocolSpec,
-    RunOutput, RunSpec, ScenarioCache, ScenarioSpec, WorkloadSpec,
+    replay_artifact, resolve_store, run_cell, ProbeSpec, ProtocolSpec, RunSpec, ScenarioCache,
+    ScenarioSpec, WorkloadSpec,
 };
 use dtn_sim::report::{delivery_progress, latencies, percentile};
+use dtn_sim::SimStats;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: dtnrun [flags]
 
@@ -27,17 +29,15 @@ const USAGE: &str = "usage: dtnrun [flags]
                        e.g. eer:lambda=8,ttl=3600  prophet:beta=0.25
   --scenario FAMILY    paper | rwp | trace:<path>   (default paper)
   --workload KIND      paper | hotspot[:<k>] | bursty[:<on>:<off>]  (default paper)
-  --nodes N            node count for generated scenarios (default 40)
+  --nodes N            node count for generated scenarios (default 40); from
+                       2000 nodes the contacts stream window by window instead
+                       of materializing the whole trace (bit-identical results)
   --seed S             mobility/traffic seed (default 1)
   --duration SECS      horizon override; invalid with trace replay
   --lambda K           copy quota shorthand (same as :lambda=K)
   --alpha A            EER/CR horizon shorthand (same as :alpha=A)
   --trace PATH         shorthand for --scenario trace:PATH
   --buffer BYTES       per-node buffer capacity (default 1 MB)
-  --stream             stream contacts on demand instead of materializing
-                       the whole trace (bit-identical results; the default
-                       for generated scenarios with >= 2000 nodes)
-  --no-stream          force the materialized-trace path
   --run-threads N      worker threads for the sharded contact scan on the
                        streaming path (default auto: up to 8 for generated
                        scenarios with >= 10000 nodes, else 1); results are
@@ -86,8 +86,6 @@ struct Args {
     lambda: Option<u32>,
     alpha: Option<f64>,
     buffer: Option<u64>,
-    /// `None` = auto (stream generated scenarios at city scale).
-    stream: Option<bool>,
     /// `None` = auto (parallel scan at n >= 10^4 on the streaming path).
     run_threads: Option<u32>,
     /// `Some(capacity)` = off-thread observer drain through a bounded ring.
@@ -115,7 +113,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         lambda: None,
         alpha: None,
         buffer: None,
-        stream: None,
         run_threads: None,
         ring_drain: None,
         progress_step: 1_000.0,
@@ -141,12 +138,10 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--alpha" => out.alpha = Some(val("--alpha")?.parse().map_err(|e| format!("{e}"))?),
             "--trace" => out.scenario = Some(format!("trace:{}", val("--trace")?)),
             "--buffer" => out.buffer = Some(val("--buffer")?.parse().map_err(|e| format!("{e}"))?),
-            "--stream" => out.stream = Some(true),
             "--run-threads" => {
                 out.run_threads = Some(val("--run-threads")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--drain" => out.ring_drain = CommonArgs::parse_drain(&val("--drain")?)?,
-            "--no-stream" => out.stream = Some(false),
             "--progress-step" => {
                 out.progress_step = val("--progress-step")?
                     .parse()
@@ -198,7 +193,22 @@ fn main() {
     };
 
     if let Some(path) = &args.replay {
-        replay_report(path, &args);
+        let record =
+            replay_artifact(std::path::Path::new(path), &args.probes).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(1);
+            });
+        println!(
+            "replaying {path}: protocol {}, scenario {}, workload {}: {} nodes, {:.0} s, seed {}",
+            record.protocol,
+            record.scenario,
+            record.workload,
+            record.n_nodes,
+            record.duration,
+            record.seed
+        );
+        print_record(&record, Origin::Replayed, args.progress_step);
+        emit(format!("dtnrun replay: {path}"), record, &args.outs);
         return;
     }
 
@@ -215,14 +225,6 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Stream by default at city scale: a generated scenario with thousands
-    // of nodes produces a contact trace too large to hold, and the streaming
-    // run is bit-identical anyway. `--stream`/`--no-stream` override.
-    let streaming = args.stream.unwrap_or_else(|| {
-        scenario.default_duration().is_some()
-            && scenario.declared_nodes().is_some_and(|n| n >= 2000)
-    });
-
     let mut spec = RunSpec::on(
         args.protocol.kind().name(),
         scenario.clone(),
@@ -235,7 +237,7 @@ fn main() {
     }
     if let Some(d) = args.duration {
         // Record the override in the spec so the report's cell key carries
-        // the true horizon (run_on asserts it matches the built scenario).
+        // the true horizon.
         spec = spec.with_duration(d);
     }
     if let Some(t) = args.run_threads {
@@ -244,25 +246,31 @@ fn main() {
     if let Some(c) = args.ring_drain {
         spec = spec.with_ring_drain(c);
     }
+    let title = format!("dtnrun: {} on {}", args.protocol, spec.scenario);
 
-    // A run recording an event log is never served from (or published to)
-    // the store: the side-effect artifact is the point of the run.
-    let store = resolve_store(args.store.as_deref(), args.no_store);
-    let storable = !spec
-        .effective_probes()
-        .iter()
-        .any(|p| matches!(p, ProbeSpec::EventLog { .. }));
-    if storable {
-        if let Some(store) = &store {
-            if let Some(record) = store.serve(&spec.cell_key(args.seed).encoded(), args.seed) {
-                served_report(&spec, record, &args);
-                return;
-            }
-        }
+    let store = resolve_store(args.store.as_deref(), args.no_store).filter(|_| spec.storable());
+    if let Some(record) = store
+        .as_ref()
+        .and_then(|s| s.serve(&spec.cell_key(args.seed).encoded(), args.seed))
+    {
+        println!(
+            "protocol {}, scenario {}, workload {}: {} nodes, {:.0} s, seed {} — served from result \
+             store in {:.4} s (no simulation; --no-store forces a cold run)",
+            args.protocol,
+            spec.scenario,
+            args.workload,
+            record.n_nodes,
+            record.duration,
+            record.seed,
+            record.wall_s
+        );
+        print_record(&record, Origin::Served, args.progress_step);
+        emit(title, record, &args.outs);
+        return;
     }
 
-    let (n, duration, out, wall, record): (u32, f64, RunOutput, std::time::Duration, RunRecord);
-    if streaming {
+    let cache = ScenarioCache::new();
+    if spec.streams() {
         let threads = spec.effective_run_threads();
         let mode = if threads > 1 {
             format!("sharded contact detection ({threads} threads)")
@@ -273,69 +281,109 @@ fn main() {
             "protocol {}, scenario {scenario}, workload {}: streaming contact supply (the trace is never materialized), {mode}",
             args.protocol, args.workload
         );
-        let t0 = std::time::Instant::now();
-        let run = match run_stream(&spec, args.seed) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        };
-        wall = t0.elapsed();
-        println!(
-            "{} nodes, {:.0} s, {} messages",
-            run.n_nodes, run.duration, run.n_messages
-        );
-        n = run.n_nodes;
-        duration = run.duration;
-        out = run.output;
-        record = RunRecord::capture_stream(&spec, n, duration, args.seed, &out, wall.as_secs_f64());
     } else {
-        // Resolve the experiment input through the shared cache — generated
-        // families and replayed traces take the same path.
-        let cache = ScenarioCache::new();
-        let ps = match cache.try_get_spec(&scenario, &args.workload, args.seed, args.duration) {
-            Ok(ps) => ps,
-            Err(e) => {
+        // The same cache resolves the scenario for the run below, so this
+        // census costs no second build.
+        let ps = cache
+            .try_get_spec(&scenario, &args.workload, args.seed, args.duration)
+            .unwrap_or_else(|e| {
                 eprintln!("{e}");
                 std::process::exit(1);
-            }
-        };
-        n = ps.n_nodes;
-        duration = ps.scenario.trace.duration;
+            });
         let ts = ps.scenario.trace.stats();
         println!(
-            "protocol {}, scenario {scenario}, workload {}: {n} nodes, {:.0} s, {} contacts (mean duration {:.2} s), {} messages",
+            "protocol {}, scenario {scenario}, workload {}: {} nodes, {:.0} s, {} contacts (mean duration {:.2} s), {} messages",
             args.protocol,
             args.workload,
-            duration,
+            ps.n_nodes,
+            ps.scenario.trace.duration,
             ts.contacts,
             ts.mean_duration,
             ps.workload.len()
         );
-        let t0 = std::time::Instant::now();
-        out = run_on_observed(&ps, &spec, args.seed);
-        wall = t0.elapsed();
-        record = RunRecord::capture_output(&spec, &ps, args.seed, &out, wall.as_secs_f64());
     }
-    let stats = &out.stats;
-    // Both paths generate the workload from the same spec and seed, so the
-    // creation times for latency percentiles can be regenerated here without
-    // holding onto either path's scenario.
+    let t0 = Instant::now();
+    let run = run_cell(&cache, &spec, args.seed).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    let wall = t0.elapsed();
+    if spec.streams() {
+        println!(
+            "{} nodes, {:.0} s, {} messages",
+            run.n_nodes, run.duration, run.n_messages
+        );
+    }
+    let record = RunRecord::capture_stream(
+        &spec,
+        run.n_nodes,
+        run.duration,
+        args.seed,
+        &run.output,
+        wall.as_secs_f64(),
+    );
+    // Either supply generates the workload from the same spec and seed, so
+    // the creation times for latency percentiles are regenerated here.
     let created_at: Vec<f64> = spec
         .workload
-        .generate(n, duration, args.seed)
+        .generate(run.n_nodes, run.duration, args.seed)
         .iter()
         .map(|m| m.create_at.as_secs())
         .collect();
+    let origin = Origin::Live {
+        stats: &run.output.stats,
+        created_at: &created_at,
+        wall,
+    };
+    print_record(&record, origin, args.progress_step);
+    if let Some(store) = &store {
+        if let Err(e) = store.publish(&record) {
+            eprintln!("warning: store publish failed: {e}");
+        }
+    }
+    emit(title, record, &args.outs);
+}
 
-    println!("\n=== {} ===", args.protocol);
+/// Where a printed record came from.
+enum Origin<'a> {
+    /// Computed by this invocation: the engine's full statistics add exact
+    /// per-message latency percentiles, the delivery-progress table and the
+    /// latency histogram's buckets.
+    Live {
+        stats: &'a SimStats,
+        created_at: &'a [f64],
+        wall: Duration,
+    },
+    /// Served from the persistent result store (no simulation).
+    Served,
+    /// Folded out of a recorded TRACE/1.0 artifact (no simulation).
+    Replayed,
+}
+
+/// Prints one run's report from its record. Served and replayed records
+/// print the headline metrics and any probe sections that rode along; the
+/// sections that need per-message creation times come from the probes
+/// there (attach `--probe latency` / `--probe timeseries` to a replay to
+/// get them, bitwise identical to the recorded live run).
+fn print_record(record: &RunRecord, origin: Origin<'_>, progress_step: f64) {
+    let (tag, probe) = match origin {
+        Origin::Live { .. } => ("", "probe"),
+        Origin::Served => (" (served from store)", "stored probe"),
+        Origin::Replayed => (" (replayed)", "replayed probe"),
+    };
+    let stats = &record.stats;
+    println!("\n=== {}{tag} ===", record.protocol);
     println!("delivery ratio   {:.4}", stats.delivery_ratio());
     println!("latency (mean)   {:.1} s", stats.avg_latency());
-    let lats = latencies(stats, &created_at);
-    for p in [50.0, 90.0, 99.0] {
-        if let Some(v) = percentile(lats.clone(), p) {
-            println!("latency (p{p:.0})    {v:.1} s");
+    if let Origin::Live {
+        stats, created_at, ..
+    } = &origin
+    {
+        let lats = latencies(stats, created_at);
+        for p in [50.0, 90.0, 99.0] {
+            if let Some(v) = percentile(lats.clone(), p) {
+                println!("latency (p{p:.0})    {v:.1} s");
+            }
         }
     }
     println!("goodput          {:.4}", stats.goodput());
@@ -346,101 +394,24 @@ fn main() {
         "drops            buffer {} / ttl {} / protocol {}",
         stats.drops_buffer, stats.drops_ttl, stats.drops_protocol
     );
-    println!(
-        "control traffic  {:.2} MB",
-        stats.control_bytes as f64 / (1024.0 * 1024.0)
-    );
-    println!("wall time        {wall:.2?}");
-
-    println!(
-        "\ndelivery progress (cumulative, every {:.0} s):",
-        args.progress_step
-    );
-    let prog = delivery_progress(stats, duration, args.progress_step);
-    for (k, v) in prog.iter().enumerate() {
-        if k % 2 == 0 {
-            println!("  t={:>7.0}  delivered={v}", k as f64 * args.progress_step);
+    println!("control traffic  {:.2} MB", stats.control_mb());
+    if let Origin::Live { stats, wall, .. } = &origin {
+        println!("wall time        {wall:.2?}");
+        println!(
+            "\ndelivery progress (cumulative, every {:.0} s):",
+            progress_step
+        );
+        let prog = delivery_progress(stats, record.duration, progress_step);
+        for (k, v) in prog.iter().enumerate() {
+            if k % 2 == 0 {
+                println!("  t={:>7.0}  delivered={v}", k as f64 * progress_step);
+            }
         }
     }
 
     // Probe outputs, sampled *during* the run by the observer pipeline.
-    if let Some(ts) = &out.timeseries {
-        println!("\ntime series (probe, dt = {:.0} s):", ts.dt);
-        let stride = ts.samples.len().div_ceil(20).max(1);
-        for s in ts.samples.iter().step_by(stride) {
-            println!(
-                "  t={:>7.0}  dr={:.4} overhead={:>7.2} buffered={:>6} KB ({} msgs)",
-                s.t,
-                s.delivery_ratio(),
-                s.overhead_ratio(),
-                s.buffered_bytes / 1024,
-                s.buffered_msgs
-            );
-        }
-    }
-    if let Some(hist) = &out.latency {
-        println!(
-            "\nlatency histogram (probe): n={} p50={:.1} p95={:.1} p99={:.1} max={:.1}",
-            hist.count, hist.p50, hist.p95, hist.p99, hist.max
-        );
-        for (i, &n) in hist.buckets.iter().enumerate() {
-            if n > 0 {
-                let lo = (1u64 << i) - 1;
-                let hi = (1u64 << (i + 1)) - 1;
-                println!("  [{lo:>5}, {hi:>5}) s  {n}");
-            }
-        }
-    }
-
-    // The machine-readable view of the same run: one record through the
-    // shared report pipeline, carrying the probe outputs.
-    if storable {
-        if let Some(store) = &store {
-            if let Err(e) = store.publish(&record) {
-                eprintln!("warning: store publish failed: {e}");
-            }
-        }
-    }
-    let mut report = ReportSpec::new(format!("dtnrun: {} on {}", args.protocol, spec.scenario));
-    report.push(record);
-    if !report.write_all(&args.outs) {
-        std::process::exit(1);
-    }
-}
-
-/// The run was served from the persistent result store: print the
-/// record-derived report (stats plus any probe sections that rode along —
-/// exact per-message percentiles and the delivery-progress table need the
-/// live engine, exactly as in `--replay`) and emit through the pipeline.
-fn served_report(spec: &RunSpec, record: RunRecord, args: &Args) {
-    println!(
-        "protocol {}, scenario {}, workload {}: {} nodes, {:.0} s, seed {} — served from result \
-         store in {:.4} s (no simulation; --no-store forces a cold run)",
-        args.protocol,
-        spec.scenario,
-        args.workload,
-        record.n_nodes,
-        record.duration,
-        record.seed,
-        record.wall_s
-    );
-
-    let stats = &record.stats;
-    println!("\n=== {} (served from store) ===", args.protocol);
-    println!("delivery ratio   {:.4}", stats.delivery_ratio());
-    println!("latency (mean)   {:.1} s", stats.avg_latency());
-    println!("goodput          {:.4}", stats.goodput());
-    println!("overhead ratio   {:.2}", stats.overhead_ratio());
-    println!("relayed          {}", stats.relayed);
-    println!("aborted          {}", stats.aborted);
-    println!(
-        "drops            buffer {} / ttl {} / protocol {}",
-        stats.drops_buffer, stats.drops_ttl, stats.drops_protocol
-    );
-    println!("control traffic  {:.2} MB", stats.control_mb());
-
     if let Some(ts) = &record.timeseries {
-        println!("\ntime series (stored probe, dt = {:.0} s):", ts.dt);
+        println!("\ntime series ({probe}, dt = {:.0} s):", ts.dt);
         let stride = ts.samples.len().div_ceil(20).max(1);
         for s in ts.samples.iter().step_by(stride) {
             println!(
@@ -455,80 +426,27 @@ fn served_report(spec: &RunSpec, record: RunRecord, args: &Args) {
     }
     if let Some(hist) = &record.latency {
         println!(
-            "\nlatency histogram (stored probe): n={} p50={:.1} p95={:.1} p99={:.1} max={:.1}",
+            "\nlatency histogram ({probe}): n={} p50={:.1} p95={:.1} p99={:.1} max={:.1}",
             hist.count, hist.p50, hist.p95, hist.p99, hist.max
         );
-    }
-
-    let mut report = ReportSpec::new(format!("dtnrun: {} on {}", args.protocol, spec.scenario));
-    report.push(record);
-    if !report.write_all(&args.outs) {
-        std::process::exit(1);
+        if let Origin::Live { .. } = origin {
+            for (i, &n) in hist.buckets.iter().enumerate() {
+                if n > 0 {
+                    let lo = (1u64 << i) - 1;
+                    let hi = (1u64 << (i + 1)) - 1;
+                    println!("  [{lo:>5}, {hi:>5}) s  {n}");
+                }
+            }
+        }
     }
 }
 
-/// `--replay PATH`: fold the report out of a recorded artifact — the engine
-/// never runs. The workload is not regenerated here, so the sections that
-/// need per-message creation times (exact percentiles from `latencies`,
-/// the delivery-progress table) come from the probes instead: attach
-/// `--probe latency` / `--probe timeseries` to get them, bitwise identical
-/// to the recorded live run.
-fn replay_report(path: &str, args: &Args) {
-    let record = match replay_artifact(std::path::Path::new(path), &args.probes) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "replaying {path}: protocol {}, scenario {}, workload {}: {} nodes, {:.0} s, seed {}",
-        record.protocol,
-        record.scenario,
-        record.workload,
-        record.n_nodes,
-        record.duration,
-        record.seed
-    );
-
-    let stats = &record.stats;
-    println!("\n=== {} (replayed) ===", record.protocol);
-    println!("delivery ratio   {:.4}", stats.delivery_ratio());
-    println!("latency (mean)   {:.1} s", stats.avg_latency());
-    println!("goodput          {:.4}", stats.goodput());
-    println!("overhead ratio   {:.2}", stats.overhead_ratio());
-    println!("relayed          {}", stats.relayed);
-    println!("aborted          {}", stats.aborted);
-    println!(
-        "drops            buffer {} / ttl {} / protocol {}",
-        stats.drops_buffer, stats.drops_ttl, stats.drops_protocol
-    );
-    println!("control traffic  {:.2} MB", stats.control_mb());
-
-    if let Some(ts) = &record.timeseries {
-        println!("\ntime series (replayed probe, dt = {:.0} s):", ts.dt);
-        let stride = ts.samples.len().div_ceil(20).max(1);
-        for s in ts.samples.iter().step_by(stride) {
-            println!(
-                "  t={:>7.0}  dr={:.4} overhead={:>7.2} buffered={:>6} KB ({} msgs)",
-                s.t,
-                s.delivery_ratio(),
-                s.overhead_ratio(),
-                s.buffered_bytes / 1024,
-                s.buffered_msgs
-            );
-        }
-    }
-    if let Some(hist) = &record.latency {
-        println!(
-            "\nlatency histogram (replayed probe): n={} p50={:.1} p95={:.1} p99={:.1} max={:.1}",
-            hist.count, hist.p50, hist.p95, hist.p99, hist.max
-        );
-    }
-
-    let mut report = ReportSpec::new(format!("dtnrun replay: {path}"));
+/// The machine-readable view of the same run: one record through the shared
+/// report pipeline.
+fn emit(title: String, record: RunRecord, outs: &[OutputSpec]) {
+    let mut report = ReportSpec::new(title);
     report.push(record);
-    if !report.write_all(&args.outs) {
+    if !report.write_all(outs) {
         std::process::exit(1);
     }
 }

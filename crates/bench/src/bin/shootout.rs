@@ -29,15 +29,16 @@
 //! comparable across code revisions (`reportcheck` validates both).
 //!
 //! Defaults stay laptop-sized: 2 node counts × 2 seeds on a 2 000 s horizon,
-//! plus two *large-n supply cells* — epidemic on the city family at
-//! n=1 000 and n=10 000, short horizon, streamed so the contact trace is
-//! never materialized — that pin contact-supply throughput in the BENCH
-//! trajectory (`--no-large-n` skips them).
+//! plus three *large-n supply cells* — epidemic on the city family at
+//! n=1 000, 10 000 and 100 000 on short horizons — that pin contact-supply
+//! throughput in the BENCH trajectory (`--no-large-n` skips them). They are
+//! ordinary cells at the end of the matrix: the n ≥ 2 000 ones stream their
+//! contacts, and all of them ride the fabric and the result store.
 
 use dtn_bench::report::{write_text, CommonArgs, OutputSpec, ReportSpec};
 use dtn_bench::{
-    resolve_store, run_matrix_records_stored, run_stream, ProbeSpec, ProtocolKind, ProtocolSpec,
-    RunRecord, RunSpec, ScenarioCache, ScenarioSpec, SweepConfig, WorkloadSpec,
+    resolve_store, run_matrix_records_stored, ProbeSpec, ProtocolKind, ProtocolSpec, RunSpec,
+    ScenarioCache, ScenarioSpec, SweepConfig, WorkloadSpec,
 };
 use std::path::Path;
 
@@ -188,7 +189,7 @@ fn main() {
                  a comma starts a new spec when followed by a protocol name.\n\
                  --out routes the report (default: json+csv under results/); the\n\
                  BENCH_shootout.json perf trajectory is always written.\n\
-                 --no-large-n skips the streaming city n=1000/n=10000 supply cells."
+                 --no-large-n skips the city n=1000/10000/100000 supply cells."
             );
             return;
         }
@@ -252,6 +253,37 @@ fn main() {
         }
     }
 
+    // Large-n supply cells: one flooding protocol on the city family at
+    // n=1 000, 10 000 and 100 000 on short horizons, so the default shootout
+    // stays laptop-sized while the BENCH trajectory tracks contact-supply
+    // throughput across revisions. The n=10⁵ cell runs the sharded scan (8
+    // workers); the smaller cells stay single-threaded, so the trajectory
+    // carries both modes.
+    if args.large_n {
+        let epidemic = ProtocolSpec::paper(ProtocolKind::Epidemic);
+        for (n, horizon, threads) in [
+            (1_000u32, 600.0, 1u32),
+            (10_000, 120.0, 1),
+            (100_000, 60.0, 8),
+        ] {
+            let label = if threads > 1 {
+                format!("{epidemic} @ city-large (sharded x{threads})")
+            } else {
+                format!("{epidemic} @ city-large")
+            };
+            specs.push(
+                RunSpec::on(
+                    label,
+                    ScenarioSpec::city(n, ScenarioSpec::districts_for(n)),
+                    epidemic.clone(),
+                )
+                .with_workload(args.workload.clone())
+                .with_duration(horizon)
+                .with_run_threads(threads),
+            );
+        }
+    }
+
     let mut cfg = SweepConfig {
         seeds: args.seeds,
         ..SweepConfig::default()
@@ -268,78 +300,7 @@ fn main() {
         specs.len()
     );
     let store = resolve_store(args.store.as_deref(), args.no_store);
-    let mut records = run_matrix_records_stored(&ScenarioCache::new(), &specs, cfg, store.as_ref());
-
-    // Large-n supply cells: one flooding protocol on the city family at
-    // n=1 000 and n=10 000, run through the streaming path (the contact
-    // trace is never materialized) on a short horizon so the default
-    // shootout stays laptop-sized. They land in the same record list — the
-    // cell key is identical to a materialized run of the same spec — so the
-    // BENCH trajectory tracks contact-supply throughput across revisions.
-    if args.large_n {
-        let epidemic = ProtocolSpec::paper(ProtocolKind::Epidemic);
-        // The n=10⁵ cell runs the sharded scan (8 workers); the smaller
-        // cells stay single-threaded, so the trajectory carries both modes.
-        for (n, horizon, threads) in [
-            (1_000u32, 600.0, 1u32),
-            (10_000, 120.0, 1),
-            (100_000, 60.0, 8),
-        ] {
-            let label = if threads > 1 {
-                format!("{epidemic} @ city-large (sharded x{threads})")
-            } else {
-                format!("{epidemic} @ city-large")
-            };
-            let spec = RunSpec::on(
-                label,
-                ScenarioSpec::city(n, ScenarioSpec::districts_for(n)),
-                epidemic.clone(),
-            )
-            .with_workload(args.workload.clone())
-            .with_duration(horizon)
-            .with_run_threads(threads);
-            for seed in 1..=u64::from(cfg.effective_seeds()) {
-                // A streamed run of a generated scenario shares its cell key
-                // with a materialized run, so the store memoizes it like any
-                // other cell.
-                if let Some(store) = &store {
-                    let cell = spec.cell_key(seed).encoded();
-                    if let Some(record) = store.serve(&cell, seed) {
-                        eprintln!("  city n={n} @ {horizon:.0} s seed {seed}: served from store");
-                        records.push(record);
-                        continue;
-                    }
-                }
-                let t0 = std::time::Instant::now();
-                match run_stream(&spec, seed) {
-                    Ok(run) => {
-                        eprintln!(
-                            "  city n={n} @ {horizon:.0} s seed {seed} ({threads} threads): streamed in {:.2} s",
-                            t0.elapsed().as_secs_f64()
-                        );
-                        let record = RunRecord::capture_stream(
-                            &spec,
-                            run.n_nodes,
-                            run.duration,
-                            seed,
-                            &run.output,
-                            t0.elapsed().as_secs_f64(),
-                        );
-                        if let Some(store) = &store {
-                            if let Err(e) = store.publish(&record) {
-                                eprintln!("warning: store publish failed: {e}");
-                            }
-                        }
-                        records.push(record);
-                    }
-                    Err(e) => {
-                        eprintln!("large-n cell n={n} failed: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-    }
+    let records = run_matrix_records_stored(&ScenarioCache::new(), &specs, cfg, store.as_ref());
 
     let mut report = ReportSpec::new(format!(
         "Protocol shootout across scenario families ({} workload, {:.0} s horizon)",

@@ -13,8 +13,8 @@
 
 use dtn_bench::report::{CommonArgs, OutputSpec, ReportSpec, RunRecord};
 use dtn_bench::{
-    resolve_store, run_spec_observed, ProbeSpec, ProtocolKind, ProtocolSpec, RunSpec,
-    ScenarioCache, ScenarioSpec, WorkloadSpec,
+    resolve_store, run_cell, ProbeSpec, ProtocolKind, ProtocolSpec, RunSpec, ScenarioCache,
+    ScenarioSpec, WorkloadSpec,
 };
 use std::time::Instant;
 
@@ -121,11 +121,6 @@ fn main() {
     );
 
     let store = resolve_store(store_dir.as_deref(), no_store);
-    // Event-log probes record a side-effect artifact, so those runs bypass
-    // the store in both directions (same rule as the matrix runner).
-    let storable = !probes
-        .iter()
-        .any(|p| matches!(p, ProbeSpec::EventLog { .. }));
     let mut report = ReportSpec::new(format!(
         "Smoke: every protocol on {scenario} ({workload} workload, seed {seed})"
     ));
@@ -143,40 +138,31 @@ fn main() {
         if let Some(c) = ring_drain {
             spec = spec.with_ring_drain(c);
         }
-        let served = if storable {
-            store
-                .as_ref()
-                .and_then(|s| s.serve(&spec.cell_key(seed).encoded(), seed))
-        } else {
-            None
-        };
+        let store = store.as_ref().filter(|_| spec.storable());
+        let served = store.and_then(|s| s.serve(&spec.cell_key(seed).encoded(), seed));
         let cached = served.is_some();
         let t = Instant::now();
-        let (record, stats) = match served {
-            Some(record) => {
-                let stats = record.stats;
-                (record, stats)
+        let record = served.unwrap_or_else(|| {
+            let run = run_cell(&cache, &spec, seed).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(1);
+            });
+            let wall_s = t.elapsed().as_secs_f64();
+            let record = RunRecord::capture_stream(
+                &spec,
+                run.n_nodes,
+                run.duration,
+                seed,
+                &run.output,
+                wall_s,
+            );
+            if let Some(Err(e)) = store.map(|s| s.publish(&record)) {
+                eprintln!("warning: store publish failed: {e}");
             }
-            None => {
-                let (run_ps, out) = run_spec_observed(&cache, &spec, seed);
-                let record = RunRecord::capture_output(
-                    &spec,
-                    &run_ps,
-                    seed,
-                    &out,
-                    t.elapsed().as_secs_f64(),
-                );
-                if storable {
-                    if let Some(store) = &store {
-                        if let Err(e) = store.publish(&record) {
-                            eprintln!("warning: store publish failed: {e}");
-                        }
-                    }
-                }
-                (record, out.stats.snapshot())
-            }
-        };
+            record
+        });
         let wall = t.elapsed();
+        let stats = record.stats;
         report.push(record);
         // Each row names the *resolved* spec in the `--protocol` grammar, so
         // any line of the log is a reproducible dtnrun invocation.

@@ -1,96 +1,42 @@
-//! The lock-free sweep fabric: a work-stealing executor for `(spec, seed)`
-//! cell jobs.
+//! The sweep fabric: a work-stealing executor for `(spec, seed)` cell jobs.
 //!
-//! [`run_matrix_records`](crate::runner::run_matrix_records) used to hand
-//! cells to workers through a single `AtomicUsize` ticket counter and
-//! collect results into per-spec `Mutex<Vec<_>>` slots. Both are
-//! coordinator bottlenecks at million-cell scale: every worker contends on
-//! one cache line for the ticket, and every completion takes a lock. The
-//! fabric replaces them with the classic work-stealing shape:
-//!
-//! * The job list is an **immutable, pre-filled array** — jobs are never
-//!   produced mid-run, only consumed. This is the property that makes the
-//!   deque protocol below sufficient: emptiness is monotone, so a thief
-//!   that sweeps every deque once and finds them all empty can retire.
-//! * Each worker owns a **bounded deque over a contiguous block** of job
-//!   indices (a Chase–Lev deque degenerated to a fixed array — no growth,
-//!   no wrap). The owner pops from the bottom; thieves steal from the top.
-//!   Owner and thief only meet on the last element, where a single CAS on
-//!   `top` arbitrates.
+//! * The job list is an **immutable, pre-filled range** `0..n_jobs`, split
+//!   into one contiguous block per worker (front-loaded remainder, so
+//!   blocks differ by at most one job). Jobs are never added mid-run, only
+//!   taken, so a block that was once empty stays empty.
+//! * Each block is a `Mutex<Range<usize>>`. The owner takes from the back
+//!   (`next_back`), a thief from the front (`next`); the lock is held only
+//!   for that one take, never while a job runs. A worker whose own block
+//!   runs dry visits every other block once, in rotating order
+//!   (`(me + k) % workers`), and drains it: a take under the lock never
+//!   fails spuriously, and emptiness is permanent, so one pass finds every
+//!   remaining job.
 //! * Results come back as worker-local `Vec<(job_index, T)>`s, merged and
 //!   sorted by job index after the scope joins — **no shared result
 //!   collection at all**, and the caller sees deterministic job order no
 //!   matter which worker ran which cell.
+//!
+//! The take order is kept for more than correctness: it decides which cells
+//! run side by side, and with them a sweep's peak memory.
 //!
 //! Determinism: each job is a pure function of its index (a cell run is a
 //! pure function of `(spec, seed)`), so stealing reorders *execution* but
 //! not *results*. A worker panic propagates after the scope joins (the
 //! original payload is resumed), so no record is silently lost.
 
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::ops::Range;
+use std::sync::Mutex;
 
-/// One worker's deque: a window `[top, bottom)` over the shared job-index
-/// space. The owner treats `bottom` as private-ish (it is atomic only so
-/// thieves can read it); `top` is the contended end.
-struct CellDeque {
-    /// Next index a thief would take. Only ever increased, by CAS.
-    top: AtomicIsize,
-    /// One past the next index the owner would take. Decreased by the
-    /// owner, restored on conflict.
-    bottom: AtomicIsize,
-}
-
-impl CellDeque {
-    fn new(start: usize, end: usize) -> Self {
-        CellDeque {
-            top: AtomicIsize::new(start as isize),
-            bottom: AtomicIsize::new(end as isize),
-        }
-    }
-
-    /// Owner-side take from the bottom. `None` once the block is exhausted.
-    ///
-    /// This is the Chase–Lev owner protocol on a fixed array: reserve by
-    /// decrementing `bottom`, then check whether a thief got there first.
-    /// On the last element, owner and thief race — a CAS on `top` decides,
-    /// and `bottom` is restored either way so the deque ends canonical
-    /// (`top == bottom`).
-    fn pop(&self) -> Option<usize> {
-        let b = self.bottom.fetch_sub(1, Ordering::SeqCst) - 1;
-        let t = self.top.load(Ordering::SeqCst);
-        if t < b {
-            // More than one element remained: the reservation is safely ours.
-            return Some(b as usize);
-        }
-        let won = t == b
-            && self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-        // Empty or contended-last-element: restore bottom to its value
-        // before the reservation (on the last element `b + 1 == t + 1`, so
-        // the deque ends canonical either way).
-        self.bottom.store(b + 1, Ordering::SeqCst);
-        won.then_some(b as usize)
-    }
-
-    /// Thief-side take from the top. `None` if the deque looks empty or the
-    /// steal loses a race (the caller just moves on to the next victim).
-    fn steal(&self) -> Option<usize> {
-        let t = self.top.load(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::SeqCst);
-        if t >= b {
-            return None;
-        }
-        self.top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-            .then_some(t as usize)
-    }
-
-    /// Whether a thief sweeping for termination can skip this deque.
-    fn is_empty(&self) -> bool {
-        self.top.load(Ordering::SeqCst) >= self.bottom.load(Ordering::SeqCst)
+/// Takes one job from `block`: the owner from the back, a thief from the
+/// front. The guard drops on return, so no job ever runs under the lock.
+fn take(block: &Mutex<Range<usize>>, thief: bool) -> Option<usize> {
+    // Jobs run outside the lock and `Range` steps cannot panic, so the lock
+    // is never poisoned.
+    let mut range = block.lock().expect("a fabric block lock is never poisoned");
+    if thief {
+        range.next()
+    } else {
+        range.next_back()
     }
 }
 
@@ -99,11 +45,9 @@ impl CellDeque {
 /// sequential `(0..n_jobs).map(f).collect()` returns, whatever the thread
 /// count.
 ///
-/// The job space is split into `workers` contiguous blocks (front-loaded
-/// remainder, so blocks differ by at most one job); each worker drains its
-/// own block bottom-up, then steals from the top of the others. With
-/// `workers <= 1` the fabric is bypassed entirely and the jobs run inline
-/// on the calling thread.
+/// Each worker drains its own block back to front, then steals from the
+/// front of the others. With `workers <= 1` the fabric is bypassed entirely
+/// and the jobs run inline on the calling thread.
 ///
 /// # Panics
 /// If any job panics, the panic payload is re-raised on the calling thread
@@ -121,43 +65,29 @@ where
     // Contiguous blocks: the first `extra` workers get one more job.
     let base = n_jobs / workers;
     let extra = n_jobs % workers;
-    let mut deques = Vec::with_capacity(workers);
     let mut start = 0;
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        deques.push(CellDeque::new(start, start + len));
-        start += len;
-    }
+    let blocks: Vec<Mutex<Range<usize>>> = (0..workers)
+        .map(|w| {
+            let len = base + usize::from(w < extra);
+            start += len;
+            Mutex::new(start - len..start)
+        })
+        .collect();
 
     let mut out: Vec<(usize, T)> = Vec::with_capacity(n_jobs);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|me| {
-                let deques = &deques;
+                let blocks = &blocks;
                 let f = &f;
                 scope.spawn(move || {
                     let mut local: Vec<(usize, T)> = Vec::new();
-                    // Phase 1: drain the own block.
-                    while let Some(j) = deques[me].pop() {
+                    while let Some(j) = take(&blocks[me], false) {
                         local.push((j, f(j)));
                     }
-                    // Phase 2: steal until a full sweep finds every deque
-                    // empty. Jobs are never added, so emptiness is monotone
-                    // and one clean sweep proves termination.
-                    loop {
-                        let mut all_empty = true;
-                        for k in 1..deques.len() {
-                            let victim = &deques[(me + k) % deques.len()];
-                            while let Some(j) = victim.steal() {
-                                all_empty = false;
-                                local.push((j, f(j)));
-                            }
-                            if !victim.is_empty() {
-                                all_empty = false;
-                            }
-                        }
-                        if all_empty {
-                            break;
+                    for k in 1..workers {
+                        while let Some(j) = take(&blocks[(me + k) % workers], true) {
+                            local.push((j, f(j)));
                         }
                     }
                     local
@@ -183,7 +113,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn matches_sequential_map_for_every_worker_count() {

@@ -4,10 +4,14 @@
 //! the ablations listed in DESIGN.md, and sweeps arbitrary scenario
 //! families beyond the paper's bus-city. The harness
 //!
-//! * builds (and memoises) one scenario per
-//!   `(ScenarioSpec, WorkloadSpec, seed, duration)` cell,
-//! * fans simulation runs out over the work-stealing sweep [`fabric`],
-//!   reducing results in deterministic `(point, seed)` order,
+//! * runs every `(spec, seed)` cell through one function,
+//!   [`runner::run_cell`]: a generated scenario of at least 2 000 nodes
+//!   streams its contacts window by window, every other cell replays a
+//!   scenario built (and memoised) once per
+//!   `(ScenarioSpec, WorkloadSpec, seed, duration)` — [`RunSpec::streams`]
+//!   is the one place that chooses, and both supplies are bit-identical,
+//! * fans cells out over the work-stealing sweep [`fabric`], reducing
+//!   results in deterministic `(point, seed)` order,
 //! * prints the same series the paper plots and writes CSV files under
 //!   `results/`.
 //!
@@ -17,9 +21,8 @@
 //! matrix), `reportcheck` (schema validator for emitted JSON and TRACE/1.0
 //! event-log artifacts), `dtndiff` (drift classifier between two artifacts
 //! or two reports — the CI regression gate). All of them
-//! execute simulations through the [`runner`] layer's
-//! `RunSpec → SimStats` primitive ([`runner::run_spec`] / [`runner::run_on`]),
-//! every scenario/workload is a first-class
+//! execute simulations through [`runner::run_cell`], every
+//! scenario/workload is a first-class
 //! [`dtn_mobility::ScenarioSpec`]/[`dtn_mobility::WorkloadSpec`] value, and
 //! every protocol — family *and* tuning parameters — is a first-class
 //! [`ProtocolSpec`] value with a CLI grammar
@@ -73,9 +76,9 @@ pub use report::{
     Series,
 };
 pub use runner::{
-    replay_artifact, run_matrix, run_matrix_records, run_matrix_records_stored, run_matrix_with,
-    run_on, run_on_observed, run_spec, run_spec_observed, run_stream, CommunitySource, RunOutput,
-    RunSpec, StreamRun, SweepConfig,
+    replay_artifact, run_cell, run_matrix, run_matrix_records, run_matrix_records_stored,
+    run_matrix_with, run_on_observed, run_stream, CellRun, CommunitySource, RunOutput, RunSpec,
+    SweepConfig,
 };
 pub use scenario::{BuiltScenario, ScenarioCache, ScenarioKey, DEFAULT_SCENARIO_CACHE_CAP};
 pub use store::{resolve_store, CellStore, GcOutcome, StoreStats, DEFAULT_STORE_ROOT};

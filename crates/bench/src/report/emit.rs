@@ -725,8 +725,16 @@ fn cell_to_json(c: &CellSummary) -> Json {
 /// Validates a report or bench-trajectory document: schema/version header,
 /// required per-item fields, and — walking the whole tree — that every
 /// number is finite (the emitter turns non-finite values into `null`, which
-/// this rejects). Returns a human-readable description on failure.
+/// this rejects). Returns a one-line summary of a valid document and a
+/// human-readable description on failure.
 pub fn validate_document(text: &str) -> Result<String, String> {
+    validate_and_decode(text).map(|(summary, _)| summary)
+}
+
+/// [`validate_document`], also handing back the records a valid
+/// `cen-dtn.report` document decoded to (`None` for a bench trajectory), so
+/// a caller that needs them — store admission — parses the text once.
+pub fn validate_and_decode(text: &str) -> Result<(String, Option<ReportSpec>), String> {
     let doc = Json::parse(text)?;
     let schema = doc
         .get("schema")
@@ -870,11 +878,12 @@ pub fn validate_document(text: &str) -> Result<String, String> {
                     }
                 }
             }
-            Ok(format!(
+            let summary = format!(
                 "{schema} v{SCHEMA_VERSION}: {} records, {} cells, {numbers} finite numbers",
                 report.records.len(),
                 cells.len()
-            ))
+            );
+            Ok((summary, Some(report)))
         }
         s if s == BENCH_SCHEMA => {
             let cells = doc
@@ -899,10 +908,11 @@ pub fn validate_document(text: &str) -> Result<String, String> {
                     }
                 }
             }
-            Ok(format!(
+            let summary = format!(
                 "{schema} v{SCHEMA_VERSION}: {} cells, {numbers} finite numbers",
                 cells.len()
-            ))
+            );
+            Ok((summary, None))
         }
         other => Err(format!("unknown schema `{other}`")),
     }

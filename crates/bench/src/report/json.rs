@@ -204,11 +204,10 @@ impl Json {
     /// Parses a JSON document. Strict: exactly one value, nothing but
     /// whitespace after it; errors carry a byte offset.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(value)
@@ -245,13 +244,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'{') => parse_obj(text, pos),
+        Some(b'[') => parse_arr(text, pos),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -344,18 +344,28 @@ fn is_json_number(text: &str) -> bool {
     i == b.len()
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of plain characters up to the next quote or escape
+        // straight from the input: `"` and `\` are ASCII, so they never occur
+        // inside a multi-byte sequence and the run ends on a char boundary.
+        let run = *pos;
+        while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+            *pos += 1;
+        }
+        out.push_str(&text[run..*pos]);
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at an escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -386,18 +396,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 character (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -406,7 +410,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -419,7 +423,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -432,13 +437,13 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         if !matches!(bytes.get(*pos), Some(b'"')) {
             return Err(format!("expected object key at byte {pos}", pos = *pos));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if !matches!(bytes.get(*pos), Some(b':')) {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -467,8 +472,21 @@ mod tests {
             ),
             ("empty_arr", Json::arr(vec![])),
             ("empty_obj", Json::obj::<String>([])),
+            // Long non-ASCII runs around every character that renders as
+            // an escape (quote, backslash, \n, \r, \t, \u00XX).
+            (
+                "long_unicode",
+                Json::str(
+                    "gr\u{fc}\u{df}e \u{2192} \u{1f68c}\"\\\n\r\t\u{1}\u{8}\u{c}/".repeat(2_000),
+                ),
+            ),
         ]);
         assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+        // The escapes the renderer never writes parse too.
+        assert_eq!(
+            Json::parse(r#""\/\b\f\u00fc\u2192""#).unwrap(),
+            Json::str("/\u{8}\u{c}\u{fc}\u{2192}")
+        );
     }
 
     #[test]

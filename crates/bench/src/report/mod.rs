@@ -28,16 +28,14 @@
 //!
 //! ```
 //! use dtn_bench::report::{ReportSpec, RunRecord};
-//! use dtn_bench::{run_spec, ProtocolSpec, RunSpec, ScenarioCache};
+//! use dtn_bench::{run_cell, ProtocolSpec, RunSpec, ScenarioCache};
 //!
 //! // Spec parsing → run → report: the whole pipeline in five lines.
 //! let spec = RunSpec::new("EER", 8, ProtocolSpec::parse("eer:lambda=4").unwrap())
 //!     .with_duration(300.0);
-//! let cache = ScenarioCache::new();
-//! let ps = cache.get_spec(&spec.scenario, &spec.workload, 1, spec.duration);
-//! let stats = run_spec(&cache, &spec, 1);
+//! let run = run_cell(&ScenarioCache::new(), &spec, 1).unwrap();
 //! let mut report = ReportSpec::new("quick report");
-//! report.push(RunRecord::capture(&spec, &ps, 1, &stats, 0.0));
+//! report.push(RunRecord::capture_stream(&spec, run.n_nodes, run.duration, 1, &run.output, 0.0));
 //!
 //! // Emit → parse is the identity on the records.
 //! let text = report.to_json_string();
@@ -52,7 +50,9 @@ pub mod metrics;
 pub mod record;
 
 pub use diff::{diff_reports, diff_traces, DiffOutcome, Drift, DriftClass};
-pub use emit::{ensure_parent, validate_document, write_text, OutputFormat, OutputSpec};
+pub use emit::{
+    ensure_parent, validate_and_decode, validate_document, write_text, OutputFormat, OutputSpec,
+};
 pub use metrics::{glossary_markdown, MetricDef, HEADLINE, METRICS};
 pub use record::{CellSummary, MetricSummary, ReportSpec, RunRecord, SCHEMA_VERSION};
 

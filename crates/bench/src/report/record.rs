@@ -11,16 +11,17 @@
 //!
 //! ```
 //! use dtn_bench::report::{ReportSpec, RunRecord};
-//! use dtn_bench::{run_spec, ProtocolSpec, RunSpec, ScenarioCache};
+//! use dtn_bench::{run_cell, ProtocolSpec, RunSpec, ScenarioCache};
 //!
 //! let cache = ScenarioCache::new();
 //! let spec = RunSpec::new("EER", 8, ProtocolSpec::parse("eer").unwrap())
 //!     .with_duration(300.0);
 //! let mut report = ReportSpec::new("doc example");
 //! for seed in 1..=2 {
-//!     let ps = cache.get_spec(&spec.scenario, &spec.workload, seed, spec.duration);
-//!     let stats = run_spec(&cache, &spec, seed);
-//!     report.push(RunRecord::capture(&spec, &ps, seed, &stats, 0.0));
+//!     let run = run_cell(&cache, &spec, seed).unwrap();
+//!     report.push(RunRecord::capture_stream(
+//!         &spec, run.n_nodes, run.duration, seed, &run.output, 0.0,
+//!     ));
 //! }
 //! let cells = report.cells();
 //! assert_eq!(cells.len(), 1, "two seeds of one spec fold into one cell");
@@ -31,7 +32,7 @@
 use super::metrics::{metric, MetricDef, METRICS};
 use crate::runner::{RunOutput, RunSpec};
 use crate::scenario::BuiltScenario;
-use dtn_sim::{LatencyHistogram, MetricPoint, SimStats, StatsSnapshot, TimeSeries};
+use dtn_sim::{LatencyHistogram, MetricPoint, StatsSnapshot, TimeSeries};
 
 /// Format version stamped into every emitted document; bump when the field
 /// set changes shape. Version 2 added the optional per-record time-series
@@ -94,39 +95,9 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Captures the record for one executed cell: `spec` supplies the
-    /// canonical identity, `ps` the resolved scenario shape, `stats` the
-    /// result and `wall_s` the measured execution time. Probe outputs are
-    /// absent; use [`RunRecord::capture_output`] for observed runs.
-    pub fn capture(
-        spec: &RunSpec,
-        ps: &BuiltScenario,
-        seed: u64,
-        stats: &SimStats,
-        wall_s: f64,
-    ) -> Self {
-        let key = spec.cell_key(seed);
-        RunRecord {
-            series: spec.series.clone(),
-            scenario: spec.scenario.to_string(),
-            workload: spec.workload.to_string(),
-            protocol: spec.protocol.to_string(),
-            seed,
-            n_nodes: ps.n_nodes,
-            duration: ps.scenario.trace.duration,
-            cell: key.encoded(),
-            group: key.group_encoded(),
-            stats: stats.snapshot(),
-            wall_s,
-            timeseries: None,
-            latency: None,
-            artifact: None,
-            cached: false,
-        }
-    }
-
-    /// [`RunRecord::capture`] from a full [`RunOutput`], carrying any probe
-    /// results (time series, latency histogram) into the record.
+    /// Captures the record for one cell executed on a materialized
+    /// scenario: [`RunRecord::capture_stream`] with the resolved shape taken
+    /// from `ps`.
     pub fn capture_output(
         spec: &RunSpec,
         ps: &BuiltScenario,
@@ -134,20 +105,23 @@ impl RunRecord {
         out: &RunOutput,
         wall_s: f64,
     ) -> Self {
-        RunRecord {
-            timeseries: out.timeseries.clone(),
-            latency: out.latency.clone(),
-            artifact: out.artifact.clone(),
-            ..Self::capture(spec, ps, seed, &out.stats, wall_s)
-        }
+        Self::capture_stream(
+            spec,
+            ps.n_nodes,
+            ps.scenario.trace.duration,
+            seed,
+            out,
+            wall_s,
+        )
     }
 
-    /// [`RunRecord::capture_output`] for a streaming run
-    /// ([`crate::run_stream`]), where no [`BuiltScenario`] exists because the
-    /// contact trace was never materialized: the resolved scenario shape
-    /// (`n_nodes`, `duration`) is supplied explicitly. The cell identity is
-    /// unchanged — a streaming run of a generated scenario is bit-identical
-    /// to its materialized twin, so the two must share a key.
+    /// Captures the record for one executed cell: `spec` supplies the
+    /// canonical identity, `n_nodes`/`duration` the resolved scenario shape
+    /// (what a [`CellRun`](crate::CellRun) carries, since a streamed cell has
+    /// no [`BuiltScenario`]), `out` the result with any probe sections, and
+    /// `wall_s` the measured execution time. The cell identity does not
+    /// depend on the contact supply — a streamed run of a generated scenario
+    /// is bit-identical to its materialized twin, so the two share a key.
     pub fn capture_stream(
         spec: &RunSpec,
         n_nodes: u32,

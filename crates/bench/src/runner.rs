@@ -1,16 +1,18 @@
 //! The single execution layer every binary, bench and test drives
 //! simulations through.
 //!
-//! The primitive is `RunSpec → SimStats`: [`run_spec`] resolves the spec's
-//! scenario through a shared [`ScenarioCache`] and executes one deterministic
-//! `(spec, seed)` cell; [`run_on`] is the same execution against an
-//! explicitly supplied scenario (trace replay, pre-built inputs). A sweep is
-//! a matrix of such cells: [`run_matrix`] fans them out over worker threads
-//! with `std::thread::scope` and a shared atomic work index, then reduces
-//! per-point results in deterministic order (results are keyed, not raced),
-//! so the thread count never changes the output. [`run_matrix_records`] is
-//! the same fan-out returning provenance-full
-//! [`RunRecord`]s for the report pipeline.
+//! The primitive is [`run_cell`]: it executes one deterministic
+//! `(spec, seed)` cell and chooses the contact supply with one predicate,
+//! [`RunSpec::streams`]. City-scale generated scenarios stream their
+//! contacts window by window ([`run_stream`]); every other cell replays the
+//! [`BuiltScenario`] the shared [`ScenarioCache`] resolves
+//! ([`run_on_observed`]). The two supplies are bit-identical, so the choice
+//! never shows in an output. A sweep is a matrix of such cells:
+//! [`run_matrix`] fans them out over the work-stealing sweep
+//! [`fabric`](crate::fabric), then reduces per-point results in
+//! deterministic order (results are keyed, not raced), so the thread count
+//! never changes the output. [`run_matrix_records`] is the same fan-out
+//! returning provenance-full [`RunRecord`]s for the report pipeline.
 //!
 //! ```
 //! use dtn_bench::{run_matrix, ProtocolSpec, RunSpec, SweepConfig};
@@ -150,9 +152,9 @@ impl RunSpec {
         self
     }
 
-    /// Overrides the scenario horizon (seconds). Honored by [`run_spec`]
-    /// (which builds the scenario); [`run_on`] takes its scenario as given
-    /// and asserts that this override, if set, matches it.
+    /// Overrides the scenario horizon (seconds). Honored by [`run_cell`]
+    /// (which builds the scenario); [`run_on_observed`] takes its scenario
+    /// as given and asserts that this override, if set, matches it.
     pub fn with_duration(mut self, seconds: f64) -> Self {
         self.duration = Some(seconds);
         self
@@ -216,6 +218,32 @@ impl RunSpec {
         } else {
             1
         }
+    }
+
+    /// Whether [`run_cell`] streams this cell's contacts ([`run_stream`])
+    /// instead of replaying a materialized trace: generated scenarios of at
+    /// least 2 000 declared nodes, whose whole-horizon trace is too large to
+    /// hold. A protocol consuming [`CommunitySource::Detected`] always
+    /// materializes, because detection replays the trace (memoized per
+    /// scenario in the [`ScenarioCache`]).
+    pub fn streams(&self) -> bool {
+        self.scenario.declared_nodes().is_some_and(|n| n >= 2_000) && !self.detects_communities()
+    }
+
+    /// Whether the result store may serve and publish this cell. A cell
+    /// recording an event log bypasses the store in both directions: its
+    /// side-effect artifact cannot be served from a memo, and serving the
+    /// record without the artifact would break replay provenance.
+    pub fn storable(&self) -> bool {
+        !self
+            .probes
+            .iter()
+            .any(|p| matches!(p, ProbeSpec::EventLog { .. }))
+    }
+
+    /// Whether this cell's protocol consumes online-detected communities.
+    fn detects_communities(&self) -> bool {
+        self.protocol.needs_communities() && matches!(self.communities, CommunitySource::Detected)
     }
 
     /// The probes actually attached to a run: the *first* of each kind. A
@@ -330,55 +358,54 @@ pub struct RunOutput {
     pub artifact: Option<String>,
 }
 
-/// Executes one `(spec, seed)` cell, resolving the scenario through `cache`.
+/// Executes one `(spec, seed)` cell — the one function every sweep job and
+/// binary runs a cell through. The contact supply is [`RunSpec::streams`]'s
+/// choice: a streamed cell goes through [`run_stream`]; every other cell
+/// replays the [`BuiltScenario`] that `cache` resolves, with detected
+/// communities memoized there too. Both supplies produce bit-identical
+/// results, so the same `(spec, seed)` always yields the same output,
+/// whichever thread, binary or supply runs it.
 ///
-/// This is the deterministic core primitive: the same `(spec, seed)` always
-/// produces the same [`SimStats`], whichever thread or binary runs it.
-pub fn run_spec(cache: &ScenarioCache, spec: &RunSpec, seed: u64) -> SimStats {
-    run_spec_observed(cache, spec, seed).1.stats
-}
-
-/// [`run_spec`] returning the resolved [`BuiltScenario`] alongside the full
-/// [`RunOutput`], so callers that need the scenario shape (record capture,
-/// report headers) do not pay a second cache lookup per cell.
-pub fn run_spec_observed(
-    cache: &ScenarioCache,
-    spec: &RunSpec,
-    seed: u64,
-) -> (BuiltScenario, RunOutput) {
-    let ps = cache.get_spec(&spec.scenario, &spec.workload, seed, spec.duration);
-    if spec.protocol.needs_communities() && matches!(spec.communities, CommunitySource::Detected) {
+/// Errors name why the cell could not be built (an unreadable trace file,
+/// a horizon override on trace replay).
+pub fn run_cell(cache: &ScenarioCache, spec: &RunSpec, seed: u64) -> Result<CellRun, String> {
+    if spec.streams() {
+        return run_stream(spec, seed);
+    }
+    let ps = cache.try_get_spec(&spec.scenario, &spec.workload, seed, spec.duration)?;
+    let output = if spec.detects_communities() {
         // Detection replays the whole trace; route it through the cache so
         // every cell (and any agreement metrics) share one pass per scenario.
         let fixed = RunSpec {
             communities: CommunitySource::Fixed(cache.detected_communities(&ps)),
             ..spec.clone()
         };
-        let out = run_on_observed(&ps, &fixed, seed);
-        return (ps, out);
-    }
-    let out = run_on_observed(&ps, spec, seed);
-    (ps, out)
+        run_on_observed(&ps, &fixed, seed)
+    } else {
+        run_on_observed(&ps, spec, seed)
+    };
+    Ok(CellRun {
+        n_nodes: ps.n_nodes,
+        duration: ps.scenario.trace.duration,
+        n_messages: ps.workload.len(),
+        output,
+    })
 }
 
-/// Executes `spec` against an explicitly supplied scenario — the path for
-/// replayed real-world traces and pre-built inputs. `seed` feeds
-/// [`SimConfig::paper`] (router-private randomness) only; the scenario is
-/// taken as given — in particular [`RunSpec::duration`] cannot re-shape an
-/// already-built scenario (that resolution happens in [`run_spec`]), so a
-/// mismatch between the two is a caller bug.
-pub fn run_on(ps: &BuiltScenario, spec: &RunSpec, seed: u64) -> SimStats {
-    run_on_observed(ps, spec, seed).stats
-}
-
-/// [`run_on`] with probe outputs: attaches one observer per
-/// [`RunSpec::probes`] entry, runs, and extracts each probe's result.
+/// Executes `spec` against an explicitly supplied scenario — the replay
+/// half of [`run_cell`], and the path for pre-built inputs: attaches one
+/// observer per [`RunSpec::probes`] entry, runs, and extracts each probe's
+/// result. `seed` feeds [`SimConfig::paper`] (router-private randomness)
+/// only; the scenario is taken as given — in particular
+/// [`RunSpec::duration`] cannot re-shape an already-built scenario (that
+/// resolution happens in [`run_cell`]), so a mismatch between the two is a
+/// caller bug.
 pub fn run_on_observed(ps: &BuiltScenario, spec: &RunSpec, seed: u64) -> RunOutput {
     assert!(
         spec.duration
             .is_none_or(|d| (d - ps.scenario.trace.duration).abs() < 1e-9),
         "RunSpec duration override ({:?}) does not match the supplied scenario's horizon ({}); \
-         resolve the spec through run_spec/ScenarioCache instead",
+         resolve the spec through run_cell/ScenarioCache instead",
         spec.duration,
         ps.scenario.trace.duration
     );
@@ -406,12 +433,12 @@ pub fn run_on_observed(ps: &BuiltScenario, spec: &RunSpec, seed: u64) -> RunOutp
     )
 }
 
-/// The result of one streaming `(spec, seed)` cell. No [`BuiltScenario`]
-/// exists on this path — the contact trace is never materialized — so the
-/// resolved scenario shape rides along explicitly for record capture and
-/// report headers.
+/// The result of one `(spec, seed)` cell, whichever contact supply ran it.
+/// A streamed cell has no [`BuiltScenario`] — its contact trace is never
+/// materialized — so the resolved scenario shape rides along explicitly for
+/// record capture ([`RunRecord::capture_stream`]) and report headers.
 #[derive(Debug)]
-pub struct StreamRun {
+pub struct CellRun {
     /// Resolved node count.
     pub n_nodes: u32,
     /// Resolved horizon in seconds.
@@ -422,18 +449,18 @@ pub struct StreamRun {
     pub output: RunOutput,
 }
 
-/// Executes one `(spec, seed)` cell through the streaming contact path: the
-/// contact process is built as a demand-driven
-/// [`dtn_mobility::StreamScenario`] and pulled by the engine window by
-/// window, so peak memory stays bounded by the generation window instead of
-/// the whole-horizon trace. For generated scenario families the resulting
-/// [`SimStats`] are bit-identical to [`run_spec`]; at city scale
-/// (`paper:n=100000`) this is the only feasible path.
+/// Executes one `(spec, seed)` cell through the streaming contact path — the
+/// streaming half of [`run_cell`]: the contact process is built as a
+/// demand-driven [`dtn_mobility::StreamScenario`] and pulled by the engine
+/// window by window, so peak memory stays bounded by the generation window
+/// instead of the whole-horizon trace. For generated scenario families the
+/// resulting [`SimStats`] are bit-identical to the materialized replay; at
+/// city scale (`paper:n=100000`) this is the only feasible path.
 ///
 /// [`CommunitySource::Detected`] is rejected: online detection replays a
 /// materialized trace, which is exactly what streaming avoids. Ground-truth
 /// and fixed maps work unchanged.
-pub fn run_stream(spec: &RunSpec, seed: u64) -> Result<StreamRun, String> {
+pub fn run_stream(spec: &RunSpec, seed: u64) -> Result<CellRun, String> {
     let stream =
         spec.scenario
             .build_stream_threads(seed, spec.duration, spec.effective_run_threads())?;
@@ -461,7 +488,7 @@ pub fn run_stream(spec: &RunSpec, seed: u64) -> Result<StreamRun, String> {
     let sim = Simulation::from_source(stream.source, workload, spec.sim_config(seed), |id, n| {
         spec.protocol.make_router(id, n, communities.as_ref())
     });
-    Ok(StreamRun {
+    Ok(CellRun {
         n_nodes: stream.n_nodes,
         duration: stream.duration,
         n_messages,
@@ -627,12 +654,8 @@ pub fn run_matrix_records(
 /// completion). The returned vector is bitwise identical to a cold run's
 /// on every field except `wall_s`/`cached`, in the same deterministic
 /// (spec-major, seed-minor) order — hits and misses merge by job index,
-/// never by completion order.
-///
-/// Cells whose effective probe set records an event log are computed and
-/// left out of the store in both directions: their side-effect artifact
-/// cannot be served from a memo, and serving the record without the
-/// artifact would break replay provenance.
+/// never by completion order. Cells that are not [`RunSpec::storable`] are
+/// computed and left out of the store in both directions.
 pub fn run_matrix_records_stored(
     cache: &ScenarioCache,
     specs: &[RunSpec],
@@ -646,18 +669,9 @@ pub fn run_matrix_records_stored(
 
     // Serve pass: cheap sequential file reads, before any worker spins up.
     let mut slots: Vec<Option<RunRecord>> = vec![None; total];
-    let storable: Vec<bool> = jobs
-        .iter()
-        .map(|&(spec_idx, _)| {
-            !specs[spec_idx]
-                .effective_probes()
-                .iter()
-                .any(|p| matches!(p, crate::ProbeSpec::EventLog { .. }))
-        })
-        .collect();
     if let Some(store) = store {
         for (j, &(spec_idx, seed)) in jobs.iter().enumerate() {
-            if storable[j] {
+            if specs[spec_idx].storable() {
                 let cell = specs[spec_idx].cell_key(seed).encoded();
                 slots[j] = store.serve(&cell, seed);
             }
@@ -681,12 +695,12 @@ pub fn run_matrix_records_stored(
         let (spec_idx, seed) = jobs[miss_jobs[m]];
         let spec = &specs[spec_idx];
         let t0 = std::time::Instant::now();
-        // One resolution per cell: the observed primitive hands back
-        // the scenario it already pulled through the cache.
-        let (ps, out) = run_spec_observed(cache, spec, seed);
+        let run = run_cell(cache, spec, seed)
+            .unwrap_or_else(|e| panic!("cell `{}` seed {seed}: {e}", spec.series));
         let wall_s = t0.elapsed().as_secs_f64();
-        let record = RunRecord::capture_output(spec, &ps, seed, &out, wall_s);
-        let stats = &out.stats;
+        let record =
+            RunRecord::capture_stream(spec, run.n_nodes, run.duration, seed, &run.output, wall_s);
+        let stats = &run.output.stats;
         if cfg.verbose {
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
             // The protocol prints in its canonical grammar form,
@@ -712,7 +726,7 @@ pub fn run_matrix_records_stored(
     for (m, record) in computed.into_iter().enumerate() {
         let j = miss_jobs[m];
         if let Some(store) = store {
-            if storable[j] {
+            if specs[jobs[j].0].storable() {
                 if let Err(e) = store.publish(&record) {
                     eprintln!("warning: store publish failed: {e}");
                 }
@@ -727,7 +741,7 @@ pub fn run_matrix_records_stored(
 }
 
 /// Turns a recorded TRACE/1.0 artifact plus a probe set into a normal
-/// [`RunRecord`] — the report-side twin of [`run_spec_observed`] that never
+/// [`RunRecord`] — the report-side twin of [`run_cell`] that never
 /// touches the engine. The reader validates the hash chain, the run's
 /// [`SimStats`] are re-folded from the recorded stream and each requested
 /// probe is replayed over it; because the probes are pure functions of the
@@ -941,8 +955,8 @@ mod tests {
         assert_eq!(reordered.cell_key(1), once.cell_key(1));
 
         let cache = ScenarioCache::new();
-        let (_, a) = run_spec_observed(&cache, &once, 1);
-        let (_, b) = run_spec_observed(&cache, &duplicated, 1);
+        let a = run_cell(&cache, &once, 1).expect("valid cell").output;
+        let b = run_cell(&cache, &duplicated, 1).expect("valid cell").output;
         assert_eq!(a.stats.snapshot(), b.stats.snapshot());
         assert_eq!(a.timeseries, b.timeseries, "first-of-kind cadence wins");
         assert_eq!(a.latency, b.latency);
@@ -978,6 +992,30 @@ mod tests {
         assert!(big.effective_run_threads() >= 1);
         let replay = base.with_scenario(ScenarioSpec::trace_path("x.trace"));
         assert_eq!(replay.effective_run_threads(), 1);
+    }
+
+    /// One predicate chooses the contact supply: generated scenarios stream
+    /// from 2 000 declared nodes; trace replay and CR over detected
+    /// communities always materialize.
+    #[test]
+    fn streams_from_2000_generated_nodes() {
+        let cell = |scenario| {
+            RunSpec::on(
+                "Epidemic",
+                scenario,
+                ProtocolSpec::paper(ProtocolKind::Epidemic),
+            )
+        };
+        assert!(!cell(ScenarioSpec::paper(1999)).streams());
+        assert!(cell(ScenarioSpec::paper(2000)).streams());
+        assert!(cell(ScenarioSpec::city(2000, 4)).streams());
+        assert!(!cell(ScenarioSpec::trace_path("x.trace")).streams());
+        let cr = RunSpec::new("CR", 2000, ProtocolSpec::paper(ProtocolKind::Cr));
+        assert!(cr.streams(), "ground-truth communities stream");
+        assert!(!cr.with_communities(CommunitySource::Detected).streams());
+        // Flooding never resolves communities, so `Detected` does not pin it.
+        let epidemic = cell(ScenarioSpec::paper(2000)).with_communities(CommunitySource::Detected);
+        assert!(epidemic.streams());
     }
 
     /// A replayed cell lands exactly where a live run with the same probe
@@ -1018,13 +1056,14 @@ mod tests {
         let cache = ScenarioCache::new();
         let spec = RunSpec::new("Direct", 8, ProtocolSpec::paper(ProtocolKind::Direct))
             .with_duration(500.0);
-        let _ = run_spec(&cache, &spec, 1);
+        let run = run_cell(&cache, &spec, 1).expect("valid cell");
+        assert_eq!(run.duration, 500.0);
         let ps = cache.get_with_duration(8, 1, Some(500.0));
         assert_eq!(ps.scenario.trace.duration, 500.0);
         assert_eq!(
             cache.len(),
             1,
-            "run_spec and get_with_duration share the entry"
+            "run_cell and get_with_duration share the entry"
         );
     }
 }

@@ -21,7 +21,7 @@
 //!   never observe a half-written entry and concurrent producers of the
 //!   same cell (which compute identical records) settle on a whole file.
 //! * **Admission** — a record is served only after passing the full
-//!   `reportcheck` validation ([`validate_document`]) *and* identity checks
+//!   `reportcheck` validation ([`validate_and_decode`]) *and* identity checks
 //!   (stored cell key == requested key, stored seed == requested seed). A
 //!   truncated, bit-flipped or otherwise invalid entry is a miss: the cell
 //!   is recomputed and republished, never served.
@@ -33,7 +33,7 @@
 //! their `wall_s` restamped with the (file-read) serve time, so warm-sweep
 //! trajectories report what the host actually paid.
 
-use crate::report::{validate_document, ReportSpec, RunRecord, SCHEMA_VERSION};
+use crate::report::{validate_and_decode, ReportSpec, RunRecord, SCHEMA_VERSION};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -168,8 +168,9 @@ impl CellStore {
     /// it to its identity — a one-record document whose title equals the
     /// record's cell key. Returns the record on success.
     pub fn admit(text: &str) -> Result<RunRecord, String> {
-        validate_document(text)?;
-        let report = ReportSpec::from_json_str(text)?;
+        let report = validate_and_decode(text)?
+            .1
+            .ok_or("store entry is a bench trajectory, not a report")?;
         let [record] = report.records.as_slice() else {
             return Err(format!(
                 "store entry must hold exactly one record, found {}",

@@ -148,8 +148,8 @@ fn ttl_override_shapes_the_run() {
     let base = RunSpec::new("eer", 8, ProtocolSpec::parse("eer").unwrap()).with_duration(1_500.0);
     let short = RunSpec::new("eer:ttl=90", 8, ProtocolSpec::parse("eer:ttl=90").unwrap())
         .with_duration(1_500.0);
-    let a = dtn_bench::run_spec(&cache, &base, 1);
-    let b = dtn_bench::run_spec(&cache, &short, 1);
+    let a = dtn_bench::run_cell(&cache, &base, 1).unwrap().output.stats;
+    let b = dtn_bench::run_cell(&cache, &short, 1).unwrap().output.stats;
     assert_eq!(cache.len(), 1, "same scenario serves both TTL variants");
     assert!(
         b.delivered <= a.delivered,

@@ -11,7 +11,7 @@
 //!    fails hash-chain verification naming the offending sequence number,
 //!    and `replay_artifact` refuses the artifact.
 
-use dtn_bench::{replay_artifact, run_spec_observed, ProbeSpec, RunRecord, ScenarioCache};
+use dtn_bench::{replay_artifact, run_cell, ProbeSpec, RunRecord, ScenarioCache};
 use dtn_testutil::{specs_for, temp_trace, PROTOCOLS, WORKLOADS};
 use proptest::prelude::*;
 
@@ -36,12 +36,12 @@ proptest! {
         let cache = ScenarioCache::new();
 
         // Live run without the recorder: the reference.
-        let (ps, live_out) = run_spec_observed(&cache, &live_spec, seed);
-        let live = RunRecord::capture_output(&live_spec, &ps, seed, &live_out, 0.0);
+        let run = run_cell(&cache, &live_spec, seed).expect("valid cell");
+        let live = RunRecord::capture_stream(&live_spec, run.n_nodes, run.duration, seed, &run.output, 0.0);
 
         // Recorded run: the recorder is pure observation.
-        let (_, rec_out) = run_spec_observed(&cache, &rec_spec, seed);
-        prop_assert_eq!(rec_out.stats.snapshot(), live_out.stats.snapshot(),
+        let rec_out = run_cell(&cache, &rec_spec, seed).expect("valid cell").output;
+        prop_assert_eq!(rec_out.stats.snapshot(), run.output.stats.snapshot(),
             "attaching the eventlog probe changed the run");
 
         // Replay with the live probe set: bitwise identical on every field.
@@ -82,7 +82,7 @@ fn corrupted_artifact_is_refused_naming_the_seq() {
     let artifact = temp_trace("corrupt");
     let (_, rec_spec) = specs_for(0, 10, 400.0, 0, 0, &artifact);
     let cache = ScenarioCache::new();
-    run_spec_observed(&cache, &rec_spec, 3);
+    run_cell(&cache, &rec_spec, 3).expect("valid cell");
 
     let clean = std::fs::read(&artifact).expect("artifact written");
     // Flip one byte deep inside the record region (well past the header,

@@ -241,7 +241,7 @@ fn rwp_runs_end_to_end() {
         ProtocolSpec::paper(ProtocolKind::Eer),
     )
     .with_duration(1_500.0);
-    let stats = dtn_bench::run_spec(&cache, &spec, 1);
+    let stats = dtn_bench::run_cell(&cache, &spec, 1).unwrap().output.stats;
     assert!(stats.created > 0, "workload generated no messages");
     assert!(
         stats.relayed > 0 || stats.delivered > 0,
