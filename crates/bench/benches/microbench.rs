@@ -14,10 +14,10 @@ use std::hint::black_box;
 
 const N: u32 = 240;
 
-/// A history where node 0 met every peer on a quasi-periodic schedule.
-fn warm_history() -> ContactHistory {
+/// A history where node 0 met each of `peers` on a quasi-periodic schedule.
+fn history_with(peers: impl IntoIterator<Item = u32>) -> ContactHistory {
     let mut h = ContactHistory::new(NodeId(0), N, 32);
-    for peer in 1..N {
+    for peer in peers {
         let base = 50.0 + f64::from(peer % 17) * 13.0;
         let mut t = f64::from(peer % 7);
         for k in 0..20 {
@@ -28,28 +28,39 @@ fn warm_history() -> ContactHistory {
     h
 }
 
-fn warm_mi(h: &ContactHistory) -> MiMatrix {
+/// A history where node 0 met every peer.
+fn warm_history() -> ContactHistory {
+    history_with(1..N)
+}
+
+/// The `per_row` columns row `i` knows, spread evenly over the other nodes
+/// (every other node when `per_row` is `N - 1`), ascending.
+fn row_columns(i: u32, per_row: u32) -> Vec<u32> {
+    let mut cols: Vec<u32> = (0..per_row)
+        .map(|k| (i + 1 + k * (N - 1) / per_row) % N)
+        .collect();
+    cols.sort_unstable();
+    cols
+}
+
+/// An MI whose rows hold `per_row` plausible finite entries each; row 0
+/// comes from the real history `h`.
+fn mi_with_rows(h: &ContactHistory, per_row: u32) -> MiMatrix {
     let mut mi = MiMatrix::new(N);
-    for i in 0..N {
-        // Synthesise plausible rows; row 0 from the real history.
-        let mut row = vec![f64::INFINITY; N as usize];
-        row[i as usize] = 0.0;
-        for j in 0..N {
-            if i != j {
-                row[j as usize] = 100.0 + f64::from((i * 31 + j * 17) % 400);
-            }
-        }
-        mi.set_row(NodeId(i), &row, 1.0);
+    for i in 1..N {
+        let row = row_columns(i, per_row)
+            .into_iter()
+            .map(|j| (j, 100.0 + f64::from((i * 31 + j * 17) % 400)));
+        mi.set_row(NodeId(i), row, 1.0);
     }
-    let mut row0 = vec![f64::INFINITY; N as usize];
-    row0[0] = 0.0;
-    for j in 1..N {
-        if let Some(m) = h.pair(NodeId(j)).mean_interval() {
-            row0[j as usize] = m;
-        }
-    }
-    mi.set_row(NodeId(0), &row0, 2.0);
+    mi.set_row(NodeId(0), h.mean_row(), 2.0);
     mi
+}
+
+/// Complete rows: every node knows every other — the heap solver's worst
+/// case, and the most data a merge can share.
+fn complete_mi(h: &ContactHistory) -> MiMatrix {
+    mi_with_rows(h, N - 1)
 }
 
 fn bench_estimators(c: &mut Criterion) {
@@ -69,12 +80,12 @@ fn bench_estimators(c: &mut Criterion) {
 
 fn bench_mi_merge(c: &mut Criterion) {
     let h = warm_history();
-    let a = warm_mi(&h);
+    let a = complete_mi(&h);
     let mut b_mi = MiMatrix::new(N);
     // Make half of b's rows fresher so the merge does real work.
     for i in (0..N).step_by(2) {
-        let row = a.row(NodeId(i)).to_vec();
-        b_mi.set_row(NodeId(i), &row, 10.0);
+        let row: Vec<(u32, f64)> = (0..N).map(|j| (j, a.get(NodeId(i), NodeId(j)))).collect();
+        b_mi.set_row(NodeId(i), row, 10.0);
     }
     c.bench_function("mi_merge_n240_half_fresher", |b| {
         b.iter_batched(
@@ -86,13 +97,25 @@ fn bench_mi_merge(c: &mut Criterion) {
 }
 
 fn bench_memd(c: &mut Criterion) {
-    let h = warm_history();
-    let mi = warm_mi(&h);
+    // The mean-interval own row knows every met peer, so each solve below
+    // finalizes all N nodes. (At any `now` after these schedules end, most
+    // Theorem-2 entries are overdue and a `memd_all` solve would reach
+    // almost nothing.)
     let mut solver = MemdSolver::new();
-    let now = SimTime::secs(6000.0);
-    c.bench_function("memd_dijkstra_n240", |b| {
+    let h = warm_history();
+    let mi = complete_mi(&h);
+    c.bench_function("memd_dijkstra_n240_complete_rows", |b| {
         b.iter(|| {
-            let d = solver.memd_all(&h, &mi, black_box(now), None);
+            let d = solver.memd_all_mean(&h, black_box(&mi), None);
+            black_box(d[17])
+        })
+    });
+    // City-like: each node knows about 16 peers, node 0 included.
+    let h = history_with(row_columns(0, 16));
+    let mi = mi_with_rows(&h, 16);
+    c.bench_function("memd_dijkstra_n240_sparse_rows16", |b| {
+        b.iter(|| {
+            let d = solver.memd_all_mean(&h, black_box(&mi), None);
             black_box(d[17])
         })
     });

@@ -35,8 +35,8 @@
 //!
 //! | family | keys |
 //! |---|---|
-//! | `eer` | `lambda`, `alpha`, `window`, `hysteresis` (s), `refresh` (s), `emd` (`t2`\|`mean`), `policy` (`oldest`\|`lrv`), `adaptive` (`MIN..MAX`) |
-//! | `cr` | `lambda`, `alpha`, `window`, `hysteresis` (s), `physt` (probability), `refresh` (s), `policy` (`oldest`\|`lrv`) |
+//! | `eer` | `lambda`, `alpha` (TTL fraction in (0, 1]), `window`, `hysteresis` (s), `refresh` (s), `emd` (`t2`\|`mean`), `policy` (`oldest`\|`lrv`), `adaptive` (`MIN..MAX`) |
+//! | `cr` | `lambda`, `alpha` (TTL fraction in (0, 1]), `window`, `hysteresis` (s), `physt` (probability), `refresh` (s), `policy` (`oldest`\|`lrv`) |
 //! | `ebr` | `lambda`, `alpha` (EWMA weight), `window` (s) |
 //! | `maxprop` | `hops` (protection threshold), `refresh` (s) |
 //! | `spraywait` | `lambda`, `mode` (`binary`\|`source`) |
@@ -465,7 +465,7 @@ impl ProtocolSpec {
         match &mut self.params {
             ProtocolParams::Eer(c) => match key {
                 "lambda" => c.lambda = parse_lambda(value)?,
-                "alpha" => c.alpha = parse_pos_f64("alpha", value)?,
+                "alpha" => c.alpha = parse_ttl_fraction(value)?,
                 "window" => c.window = parse_window(value)?,
                 "hysteresis" => c.forward_hysteresis = parse_nonneg_f64("hysteresis", value)?,
                 "refresh" => c.refresh = parse_nonneg_f64("refresh", value)?,
@@ -492,7 +492,7 @@ impl ProtocolSpec {
             },
             ProtocolParams::Cr(c) => match key {
                 "lambda" => c.lambda = parse_lambda(value)?,
-                "alpha" => c.alpha = parse_pos_f64("alpha", value)?,
+                "alpha" => c.alpha = parse_ttl_fraction(value)?,
                 "window" => c.window = parse_window(value)?,
                 "hysteresis" => c.forward_hysteresis = parse_nonneg_f64("hysteresis", value)?,
                 "physt" => c.probability_hysteresis = parse_nonneg_f64("physt", value)?,
@@ -844,6 +844,17 @@ fn parse_pos_f64(key: &str, value: &str) -> Result<f64, String> {
     Ok(v)
 }
 
+/// EER/CR's α: the fraction of a message's TTL its horizon spans, in (0, 1].
+fn parse_ttl_fraction(value: &str) -> Result<f64, String> {
+    let a = parse_pos_f64("alpha", value)?;
+    if a > 1.0 {
+        return Err(format!(
+            "alpha: TTL fraction must be in (0, 1], got {value}"
+        ));
+    }
+    Ok(a)
+}
+
 fn parse_nonneg_f64(key: &str, value: &str) -> Result<f64, String> {
     let v: f64 = value.parse().map_err(|e| format!("{key}: {e}"))?;
     if !v.is_finite() || v < 0.0 {
@@ -941,6 +952,22 @@ mod tests {
         assert!(ProtocolSpec::parse("eer:lambda").is_err());
         assert!(ProtocolSpec::parse("eer:lambda=0").is_err());
         assert!(ProtocolSpec::parse("eer:alpha=-1").is_err());
+        for family in ["eer", "cr"] {
+            let e = ProtocolSpec::parse(&format!("{family}:alpha=1.5")).unwrap_err();
+            assert_eq!(
+                e,
+                format!("{family}: alpha: TTL fraction must be in (0, 1], got 1.5")
+            );
+        }
+        // α = 1 (the whole TTL) is the top of the `alpha` ablation grid.
+        for spec in ["eer:alpha=1", "cr:alpha=1"] {
+            let s = ProtocolSpec::parse(spec).unwrap();
+            match &s.params {
+                ProtocolParams::Eer(c) => assert_eq!(c.alpha, 1.0),
+                ProtocolParams::Cr(c) => assert_eq!(c.alpha, 1.0),
+                other => panic!("wrong params: {other:?}"),
+            }
+        }
         assert!(ProtocolSpec::parse("eer:frobnicate=3").is_err());
         assert!(ProtocolSpec::parse("epidemic:lambda=3").is_err());
         assert!(ProtocolSpec::parse("prophet:beta=1.5").is_err());

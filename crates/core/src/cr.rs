@@ -21,7 +21,7 @@
 //!
 //! The key systems payoff over EER: the gossiped state shrinks from the full
 //! `n × n` MI to the community-local sub-matrix, so CR exchanges far fewer
-//! control bytes (measured by `ablation_cr_state`).
+//! control bytes (measured by the `ablation cr-state` grid).
 
 use crate::community::CommunityMap;
 use crate::eer::{quantise_tau, replica_share};
@@ -84,7 +84,6 @@ pub struct Cr {
     intra_mi: MiMatrix,
     solver: MemdSolver,
     queues: Vec<(NodeId, VecDeque<TransferPlan>)>,
-    row_scratch: Vec<f64>,
     /// Cached intra-community MEMD′ vector and its computation time.
     memd_cache: Vec<f64>,
     memd_time: f64,
@@ -123,7 +122,6 @@ impl Cr {
             intra_mi: MiMatrix::new(n),
             solver: MemdSolver::new(),
             queues: Vec::new(),
-            row_scratch: Vec::new(),
             memd_cache: Vec::new(),
             memd_time: f64::NEG_INFINITY,
             enec_cache: Vec::new(),
@@ -155,25 +153,16 @@ impl Cr {
         self.communities.members(self.communities.cid(self.me))
     }
 
-    /// Refreshes the own intra-MI row from history means (community columns
-    /// only).
+    /// Publishes a new version of the own intra-MI row: the history means
+    /// towards the met peers of the own community.
     fn refresh_own_row(&mut self, now: SimTime) {
-        let n = self.intra_mi.n();
-        self.row_scratch.clear();
-        self.row_scratch.resize(n, f64::INFINITY);
-        self.row_scratch[self.me.idx()] = 0.0;
-        let members = self.communities.members(self.communities.cid(self.me));
-        for j in members {
-            if *j == self.me {
-                continue;
-            }
-            if let Some(mean) = self.history.pair(*j).mean_interval() {
-                self.row_scratch[j.idx()] = mean;
-            }
-        }
-        let row = std::mem::take(&mut self.row_scratch);
-        self.intra_mi.set_row(self.me, &row, now.as_secs());
-        self.row_scratch = row;
+        let communities = &self.communities;
+        let my_cid = communities.cid(self.me);
+        let row = self
+            .history
+            .mean_row()
+            .filter(|&(j, _)| communities.cid(NodeId(j)) == my_cid);
+        self.intra_mi.set_row(self.me, row, now.as_secs());
     }
 
     /// Intra-community MEMD′ vector, recomputed at most every `cfg.refresh`
@@ -345,11 +334,16 @@ impl Router for Cr {
         self.history.record_meeting(ctx.peer, now);
 
         // Intra-community MI gossip only between same-community nodes —
-        // this is the state-size reduction CR buys over EER.
+        // this is the state-size reduction CR buys over EER. Only the own
+        // community's rows are ever set at any node of it, so only they are
+        // compared.
         if self.communities.same_community(self.me, ctx.peer) {
             self.refresh_own_row(now);
-            let copied = self.intra_mi.merge_from(&peer_router.intra_mi);
-            let community_size = self.my_members().len();
+            let members = self.communities.members(self.communities.cid(self.me));
+            let copied = self
+                .intra_mi
+                .merge_rows_from(&peer_router.intra_mi, members);
+            let community_size = members.len();
             ctx.control_bytes(8 * (copied * community_size + community_size) as u64);
         }
 

@@ -42,8 +42,8 @@ pub enum EmdMode {
     /// time (the paper's estimator).
     #[default]
     Theorem2,
-    /// Plain mean interval (Jones et al.'s MEED); the `ablation_emd`
-    /// baseline.
+    /// Plain mean interval (Jones et al.'s MEED); the baseline of the
+    /// `ablation emd` grid.
     MeanInterval,
 }
 
@@ -60,7 +60,8 @@ pub struct EerConfig {
     /// peer's MEMD is better than ours by more than this margin. The paper's
     /// Algorithm 1 uses a strict `>` (hysteresis 0); a small margin damps
     /// carrier thrashing caused by the elapsed-time term of Theorem 2
-    /// oscillating between co-located nodes (quantified by `ablation_emd`).
+    /// oscillating between co-located nodes (quantified by the `ablation emd`
+    /// grid).
     pub forward_hysteresis: f64,
     /// Estimator refresh window in seconds: cached MEMD vectors and EEVs are
     /// reused for this long before recomputation. A pure performance knob —
@@ -105,8 +106,6 @@ pub struct Eer {
     solver: MemdSolver,
     /// Pending transfer decisions per active contact.
     queues: Vec<(NodeId, VecDeque<TransferPlan>)>,
-    /// Scratch for the own-MI row.
-    row_scratch: Vec<f64>,
     /// Cached MEMD vector and the time it was computed (`-∞` = never).
     memd_cache: Vec<f64>,
     memd_time: f64,
@@ -142,7 +141,6 @@ impl Eer {
             mi: MiMatrix::new(n),
             solver: MemdSolver::new(),
             queues: Vec::new(),
-            row_scratch: Vec::new(),
             memd_cache: Vec::new(),
             memd_time: f64::NEG_INFINITY,
             eev_cache: Vec::new(),
@@ -164,23 +162,11 @@ impl Eer {
         self.history.eev(now, tau)
     }
 
-    /// Refreshes this node's own MI row from its history means.
+    /// Publishes a new version of this node's own MI row: the history means
+    /// towards its met peers.
     fn refresh_own_row(&mut self, now: SimTime) {
-        let n = self.mi.n();
-        self.row_scratch.clear();
-        self.row_scratch.resize(n, f64::INFINITY);
-        for j in 0..n {
-            if j == self.me.idx() {
-                self.row_scratch[j] = 0.0;
-                continue;
-            }
-            if let Some(mean) = self.history.pair(NodeId(j as u32)).mean_interval() {
-                self.row_scratch[j] = mean;
-            }
-        }
-        let row = std::mem::take(&mut self.row_scratch);
-        self.mi.set_row(self.me, &row, now.as_secs());
-        self.row_scratch = row;
+        self.mi
+            .set_row(self.me, self.history.mean_row(), now.as_secs());
     }
 
     /// MEMD vector for this node, recomputed at most every `cfg.refresh`

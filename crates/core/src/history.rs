@@ -1,7 +1,7 @@
 //! Sliding-window contact histories and the paper's estimators
 //! (Theorems 1 and 2, and the pair-probability of Eq. 4).
 //!
-//! Each node records, for every other node, the last meeting time and a
+//! Each node records, for every peer it has met, the last meeting time and a
 //! sliding window of past meeting intervals `R_ij = {Δt_1, ..., Δt_r}`.
 //! All of the paper's quantities are empirical conditional statistics over
 //! that multiset, conditioned on the elapsed time `e = t − t0` since the
@@ -158,11 +158,17 @@ impl PairHistory {
     }
 }
 
-/// The full contact history of one node towards all `n` peers.
+/// The contact history of one node towards the `n` peers of the network,
+/// stored for the peers it has met only.
 #[derive(Clone, Debug)]
 pub struct ContactHistory {
     me: NodeId,
+    n: usize,
+    /// Ids of the met peers, ascending; parallel to `pairs`.
+    peers: Vec<NodeId>,
     pairs: Vec<PairHistory>,
+    /// The history every peer not met yet shares: empty, window-sized.
+    unmet: PairHistory,
 }
 
 impl ContactHistory {
@@ -170,7 +176,10 @@ impl ContactHistory {
     pub fn new(me: NodeId, n: u32, window: usize) -> Self {
         ContactHistory {
             me,
-            pairs: (0..n).map(|_| PairHistory::new(window)).collect(),
+            n: n as usize,
+            peers: Vec::new(),
+            pairs: Vec::new(),
+            unmet: PairHistory::new(window),
         }
     }
 
@@ -183,27 +192,54 @@ impl ContactHistory {
     /// Number of nodes in the network.
     #[inline]
     pub fn n_nodes(&self) -> usize {
-        self.pairs.len()
+        self.n
     }
 
     /// Records a meeting with `peer` at `now`.
     pub fn record_meeting(&mut self, peer: NodeId, now: SimTime) {
         debug_assert!(peer != self.me);
-        self.pairs[peer.idx()].record_meeting(now);
+        assert!(peer.idx() < self.n, "peer {} outside the network", peer.0);
+        let k = match self.peers.binary_search(&peer) {
+            Ok(k) => k,
+            Err(k) => {
+                self.peers.insert(k, peer);
+                self.pairs.insert(k, self.unmet.clone());
+                k
+            }
+        };
+        self.pairs[k].record_meeting(now);
     }
 
-    /// The pair history towards `peer`.
+    /// The pair history towards `peer` (empty if never met).
     #[inline]
     pub fn pair(&self, peer: NodeId) -> &PairHistory {
-        &self.pairs[peer.idx()]
+        match self.peers.binary_search(&peer) {
+            Ok(k) => &self.pairs[k],
+            Err(_) => &self.unmet,
+        }
+    }
+
+    /// The met peers and their histories, ascending by peer id.
+    pub fn met(&self) -> impl Iterator<Item = (NodeId, &PairHistory)> + '_ {
+        self.peers.iter().copied().zip(&self.pairs)
+    }
+
+    /// This node's MI row: the mean interval `I_ij` towards every met peer
+    /// with a recorded interval, ascending by peer id.
+    pub fn mean_row(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.met()
+            .filter_map(|(j, p)| p.mean_interval().map(|mean| (j.0, mean)))
     }
 
     /// Theorem 1: expected encounter value
     /// `EEV(t, τ) = Σ_{j ≠ me} mτ_ij / m_ij`.
+    ///
+    /// A peer never met contributes an exact `+0.0`, so the sum runs over the
+    /// met peers only, in ascending id order.
     pub fn eev(&self, now: SimTime, tau: f64) -> f64 {
         let mut sum = 0.0;
-        for (j, p) in self.pairs.iter().enumerate() {
-            if j == self.me.idx() {
+        for (j, p) in self.met() {
+            if j == self.me {
                 continue;
             }
             sum += p.meet_probability(now, tau);
@@ -217,7 +253,7 @@ impl ContactHistory {
         subset
             .iter()
             .filter(|j| **j != self.me)
-            .map(|j| self.pairs[j.idx()].meet_probability(now, tau))
+            .map(|j| self.pair(*j).meet_probability(now, tau))
             .sum()
     }
 
@@ -230,7 +266,7 @@ impl ContactHistory {
             if *j == self.me {
                 continue;
             }
-            miss *= 1.0 - self.pairs[j.idx()].meet_probability(now, tau);
+            miss *= 1.0 - self.pair(*j).meet_probability(now, tau);
         }
         1.0 - miss
     }

@@ -4,11 +4,13 @@
 //! Delay Tolerant Networks"* (Chen & Lou, ICPP 2011), implemented on the
 //! [`dtn_sim`] substrate:
 //!
-//! * [`history`] — sliding-window contact histories and the Theorem 1/2
-//!   estimators (expected encounter value, expected meeting delay);
-//! * [`mi`] — the meeting-interval matrix with freshness-row gossip;
-//! * [`memd`] — minimum expected meeting delay via dense Dijkstra
-//!   (Theorem 3);
+//! * [`history`] — sliding-window contact histories of the met peers and
+//!   the Theorem 1/2 estimators (expected encounter value, expected meeting
+//!   delay);
+//! * [`mi`] — the meeting-interval matrix, shared row versions and
+//!   freshness-row gossip;
+//! * [`memd`] — minimum expected meeting delay via a heap Dijkstra over
+//!   the known edges (Theorem 3);
 //! * [`community`] — community structure and the Theorem 4 ENEC estimator;
 //! * [`eer`] — the Expected-Encounter-based Routing protocol (Algorithm 1);
 //! * [`cr`] — the Community-based Routing protocol (Algorithms 2–4).

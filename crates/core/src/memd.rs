@@ -4,8 +4,15 @@
 //! row* replaced by its expected meeting delays (Theorem 2), which account
 //! for the elapsed time since each last contact. The MEMD from the source to
 //! every destination is the shortest-path distance over `MD` — computed here
-//! with a dense O(n²) Dijkstra that never materialises the matrix copy: edge
-//! weights are read from `MI` except for rows overridden by the caller.
+//! with a binary-heap Dijkstra over the known (finite) edges only: the
+//! source's own row first, then each finalized node's `MI` row entries. The
+//! matrix copy is never materialised.
+//!
+//! Final distances do not depend on the order in which equal distances are
+//! finalized: weights are non-negative and rounding is monotone, so each
+//! distance is the minimum of `fl(d[u] + w)` over its finalized predecessors.
+//! The heap therefore returns, bit for bit, what a dense O(n²) Dijkstra over
+//! the same matrix returns.
 //!
 //! One solver instance owns its scratch buffers so repeated per-contact
 //! computations don't allocate.
@@ -13,14 +20,49 @@
 use crate::history::ContactHistory;
 use crate::mi::MiMatrix;
 use dtn_sim::{NodeId, SimTime};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// Reusable dense-Dijkstra solver for MEMD queries.
+/// A tentative distance in the Dijkstra frontier, ordered so that the
+/// max-heap [`BinaryHeap`] pops the smallest distance first.
+#[derive(Clone, Copy, Debug)]
+struct Frontier {
+    dist: f64,
+    node: u32,
+}
+
+impl PartialEq for Frontier {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Frontier {}
+
+impl PartialOrd for Frontier {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Frontier {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .dist
+            .total_cmp(&self.dist)
+            .then(other.node.cmp(&self.node))
+    }
+}
+
+/// Reusable heap-Dijkstra solver for MEMD queries.
 #[derive(Clone, Debug, Default)]
 pub struct MemdSolver {
     dist: Vec<f64>,
     done: Vec<bool>,
-    /// The source node's EMD row (Theorem 2 values).
-    emd_row: Vec<f64>,
+    heap: BinaryHeap<Frontier>,
+    /// The source node's own `MD` row (Theorem 2 values), as finite entries
+    /// `(j, EMD_j)` ascending by peer.
+    own_row: Vec<(u32, f64)>,
 }
 
 impl MemdSolver {
@@ -29,56 +71,44 @@ impl MemdSolver {
         Self::default()
     }
 
-    /// Builds the source's `MD` row: `EMD(t)` towards every peer, with the
-    /// paper-unspecified corner cases resolved as:
+    /// Builds the source's `MD` row: `EMD(t)` towards every met peer, as
+    /// finite entries `(j, EMD_j)` ascending by peer. The paper-unspecified
+    /// corner cases are resolved as:
     ///
-    /// * never met / no intervals → unknown (`INFINITY`);
+    /// * never met / no intervals → unknown (no entry);
     /// * "overdue" (elapsed exceeds all recorded intervals, conditional set
-    ///   empty) → unknown (`INFINITY`): the estimator has no admissible
+    ///   empty) → unknown (no entry): the estimator has no admissible
     ///   evidence left, and treating overdue links as attractive was measured
-    ///   to cause single-copy thrashing (see `ablation_emd`).
-    pub fn build_emd_row(&mut self, history: &ContactHistory, now: SimTime) -> &[f64] {
-        let n = history.n_nodes();
-        self.emd_row.clear();
-        self.emd_row.resize(n, f64::INFINITY);
-        for j in 0..n {
-            let jid = NodeId(j as u32);
-            if jid == history.me() {
-                self.emd_row[j] = 0.0;
+    ///   to cause single-copy thrashing (see the `ablation emd` grid).
+    pub fn build_emd_row(&mut self, history: &ContactHistory, now: SimTime) -> &[(u32, f64)] {
+        self.own_row.clear();
+        for (j, pair) in history.met() {
+            if j == history.me() {
                 continue;
             }
-            let pair = history.pair(jid);
-            self.emd_row[j] = match pair.expected_meeting_delay(now) {
-                Some(d) => d.max(0.0),
-                None => f64::INFINITY,
-            };
+            if let Some(d) = pair.expected_meeting_delay(now) {
+                self.own_row.push((j.0, d.max(0.0)));
+            }
         }
-        &self.emd_row
+        &self.own_row
     }
 
     /// Builds an own-row of plain mean intervals (no Theorem-2 elapsed-time
-    /// correction) — the Jones et al. MEED-style baseline used by
-    /// `ablation_emd` to quantify what the correction buys.
-    pub fn build_mean_row(&mut self, history: &ContactHistory) -> &[f64] {
-        let n = history.n_nodes();
-        self.emd_row.clear();
-        self.emd_row.resize(n, f64::INFINITY);
-        for j in 0..n {
-            let jid = NodeId(j as u32);
-            if jid == history.me() {
-                self.emd_row[j] = 0.0;
-                continue;
-            }
-            if let Some(mean) = history.pair(jid).mean_interval() {
-                self.emd_row[j] = mean;
-            }
-        }
-        &self.emd_row
+    /// correction) — the Jones et al. MEED-style baseline the `ablation emd`
+    /// grid uses to quantify what the correction buys.
+    pub fn build_mean_row(&mut self, history: &ContactHistory) -> &[(u32, f64)] {
+        self.own_row.clear();
+        let me = history.me().0;
+        self.own_row
+            .extend(history.mean_row().filter(|&(j, _)| j != me));
+        &self.own_row
     }
 
     /// MEMD from `src` to all nodes, over `mi` with `src`'s row overridden by
-    /// `emd_row` (use [`MemdSolver::build_emd_row`] first, or pass any
-    /// custom override). Returns the distance vector; unreachable = ∞.
+    /// `own_row`, given as `(j, weight)` entries (use
+    /// [`MemdSolver::build_emd_row`] first, or pass any custom override;
+    /// non-finite weights are ignored). Returns the distance vector;
+    /// unreachable = ∞.
     ///
     /// Optionally `restrict` limits the graph to a subset of nodes (the
     /// intra-community MEMD′ of §IV); `None` means all nodes.
@@ -86,55 +116,51 @@ impl MemdSolver {
         &mut self,
         src: NodeId,
         mi: &MiMatrix,
-        emd_row: &[f64],
+        own_row: &[(u32, f64)],
         restrict: Option<&[NodeId]>,
     ) -> &[f64] {
         let n = mi.n();
-        debug_assert_eq!(emd_row.len(), n);
         self.dist.clear();
         self.dist.resize(n, f64::INFINITY);
         self.done.clear();
-        self.done.resize(n, true);
         match restrict {
             Some(nodes) => {
+                self.done.resize(n, true);
                 for v in nodes {
                     self.done[v.idx()] = false;
                 }
                 self.done[src.idx()] = false;
             }
-            None => self.done.iter_mut().for_each(|d| *d = false),
+            None => self.done.resize(n, false),
         }
         // `done[v] = true` marks nodes outside the restricted set as already
         // finalised (at ∞), so they are never relaxed through.
+        self.heap.clear();
         self.dist[src.idx()] = 0.0;
-        loop {
-            // Dense extraction of the closest unfinished node.
-            let mut u = usize::MAX;
-            let mut best = f64::INFINITY;
-            for v in 0..n {
-                if !self.done[v] && self.dist[v] < best {
-                    best = self.dist[v];
-                    u = v;
-                }
-            }
-            if u == usize::MAX {
-                break;
+        self.heap.push(Frontier {
+            dist: 0.0,
+            node: src.0,
+        });
+        while let Some(Frontier { dist: best, node }) = self.heap.pop() {
+            let u = node as usize;
+            if self.done[u] {
+                continue; // a stale entry: `u` was finalized at a smaller distance
             }
             self.done[u] = true;
-            let row: &[f64] = if u == src.idx() {
-                emd_row
+            let row = if u == src.idx() {
+                own_row
             } else {
-                mi.row(NodeId(u as u32))
+                mi.row_entries(NodeId(node))
             };
-            for (v, &w) in row.iter().enumerate().take(n) {
-                if self.done[v] {
+            for &(v, w) in row {
+                let vi = v as usize;
+                if self.done[vi] || !w.is_finite() {
                     continue;
                 }
-                if w.is_finite() {
-                    let nd = best + w;
-                    if nd < self.dist[v] {
-                        self.dist[v] = nd;
-                    }
+                let nd = best + w;
+                if nd < self.dist[vi] {
+                    self.dist[vi] = nd;
+                    self.heap.push(Frontier { dist: nd, node: v });
                 }
             }
         }
@@ -149,12 +175,8 @@ impl MemdSolver {
         now: SimTime,
         restrict: Option<&[NodeId]>,
     ) -> &[f64] {
-        let me = history.me();
         self.build_emd_row(history, now);
-        let row = std::mem::take(&mut self.emd_row);
-        let _ = self.memd_from(me, mi, &row, restrict);
-        self.emd_row = row;
-        &self.dist
+        self.memd_own_row(history.me(), mi, restrict)
     }
 
     /// As [`MemdSolver::memd_all`] but with the mean-interval own-row (no
@@ -165,11 +187,15 @@ impl MemdSolver {
         mi: &MiMatrix,
         restrict: Option<&[NodeId]>,
     ) -> &[f64] {
-        let me = history.me();
         self.build_mean_row(history);
-        let row = std::mem::take(&mut self.emd_row);
-        let _ = self.memd_from(me, mi, &row, restrict);
-        self.emd_row = row;
+        self.memd_own_row(history.me(), mi, restrict)
+    }
+
+    /// [`MemdSolver::memd_from`] with the own row last built.
+    fn memd_own_row(&mut self, src: NodeId, mi: &MiMatrix, restrict: Option<&[NodeId]>) -> &[f64] {
+        let row = std::mem::take(&mut self.own_row);
+        let _ = self.memd_from(src, mi, &row, restrict);
+        self.own_row = row;
         &self.dist
     }
 
@@ -192,12 +218,31 @@ mod tests {
         mi
     }
 
+    /// The finite entries of a dense row literal.
+    fn sparse(row: &[f64]) -> Vec<(u32, f64)> {
+        (0..row.len() as u32)
+            .zip(row.iter().copied())
+            .filter(|(_, w)| w.is_finite())
+            .collect()
+    }
+
+    /// Node `me`'s sparse row as a dense one: `INFINITY` = unknown, and the
+    /// diagonal 0 (as `MiMatrix::get` reads it).
+    fn dense(row: &[(u32, f64)], me: usize, n: usize) -> Vec<f64> {
+        let mut out = vec![f64::INFINITY; n];
+        out[me] = 0.0;
+        for &(j, w) in row {
+            out[j as usize] = w;
+        }
+        out
+    }
+
     #[test]
     fn memd_is_shortest_path_over_md() {
         // 0 -10- 1 -10- 2, and a slow direct edge 0 -50- 2.
         let mi = mi_from(3, &[(0, 1, 10.0), (1, 2, 10.0), (0, 2, 50.0)]);
         let mut s = MemdSolver::new();
-        let emd_row = vec![0.0, 10.0, 50.0]; // same as MI row here
+        let emd_row = sparse(&[0.0, 10.0, 50.0]); // same as MI row here
         let d = s.memd_from(NodeId(0), &mi, &emd_row, None);
         assert_eq!(d[0], 0.0);
         assert_eq!(d[1], 10.0);
@@ -210,7 +255,7 @@ mod tests {
         let mut s = MemdSolver::new();
         // Node 0 just met 1 recently: its *current* expected delay to 1 is
         // only 2 (Theorem 2), so MEMD(0→2) drops to 12.
-        let emd_row = vec![0.0, 2.0, 50.0];
+        let emd_row = sparse(&[0.0, 2.0, 50.0]);
         let d = s.memd_from(NodeId(0), &mi, &emd_row, None);
         assert_eq!(d[2], 12.0);
     }
@@ -219,7 +264,7 @@ mod tests {
     fn unreachable_stays_infinite() {
         let mi = mi_from(4, &[(0, 1, 5.0)]);
         let mut s = MemdSolver::new();
-        let emd_row = vec![0.0, 5.0, f64::INFINITY, f64::INFINITY];
+        let emd_row = sparse(&[0.0, 5.0, f64::INFINITY, f64::INFINITY]);
         let d = s.memd_from(NodeId(0), &mi, &emd_row, None);
         assert!(d[2].is_infinite());
         assert!(d[3].is_infinite());
@@ -230,7 +275,7 @@ mod tests {
         // Path 0-1-2 exists, but 1 is outside the allowed subset.
         let mi = mi_from(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)]);
         let mut s = MemdSolver::new();
-        let emd_row = vec![0.0, 1.0, 10.0];
+        let emd_row = sparse(&[0.0, 1.0, 10.0]);
         let d = s.memd_from(NodeId(0), &mi, &emd_row, Some(&[NodeId(0), NodeId(2)]));
         assert_eq!(d[2], 10.0, "must use the direct intra-subset edge");
     }
@@ -245,12 +290,12 @@ mod tests {
         }
         let mut s = MemdSolver::new();
         // At t=250 (elapsed 50): EMD = 100 - 50 = 50.
-        let row = s.build_emd_row(&h, SimTime::secs(250.0));
+        let row = dense(s.build_emd_row(&h, SimTime::secs(250.0)), 0, 3);
         assert!((row[1] - 50.0).abs() < 1e-12);
         assert!(row[2].is_infinite(), "never met → unknown");
         assert_eq!(row[0], 0.0);
         // Overdue (elapsed 150 > all intervals): no admissible evidence.
-        let row = s.build_emd_row(&h, SimTime::secs(350.0));
+        let row = dense(s.build_emd_row(&h, SimTime::secs(350.0)), 0, 3);
         assert!(row[1].is_infinite());
     }
 

@@ -1,24 +1,34 @@
 //! The meeting-interval matrix `MI` and its freshness-based gossip.
 //!
-//! Every EER node maintains an `n × n` matrix whose entry `I_ij` is the
-//! average meeting interval between nodes `i` and `j`, together with a
-//! last-update time per row. Row `i` is authoritative at node `i` (computed
-//! from its own history); all other rows arrive by gossip: when two nodes
-//! meet they exchange rows, each adopting the rows the other has fresher —
-//! the paper's footnote 1 ("only the rows with the fresher update time need
-//! to be exchanged ... which can reduce the routing information exchange
-//! overhead greatly").
+//! Every EER node keeps, for each of the `n` nodes `i`, the row of average
+//! meeting intervals `I_ij` that node `i` last published, together with the
+//! row's update time. Row `i` is authoritative at node `i` (computed from its
+//! own history); all other rows arrive by gossip: when two nodes meet they
+//! exchange rows, each adopting the rows the other has fresher — the paper's
+//! footnote 1 ("only the rows with the fresher update time need to be
+//! exchanged ... which can reduce the routing information exchange overhead
+//! greatly").
 //!
-//! Unknown entries are `f64::INFINITY`; the diagonal is 0.
+//! A row is stored as one immutable, owner-authored version: the finite
+//! off-diagonal entries `(j, I_ij)` ascending by column, behind an [`Arc`].
+//! Adopting a fresher row therefore clones a pointer, and every node that
+//! holds the same version shares one copy of its entries. A node's state is
+//! `n` row pointers and stamps plus the entries it actually knows.
+//!
+//! Entries absent from a row are unknown (`f64::INFINITY`); the diagonal is
+//! always 0.
 
 use dtn_sim::NodeId;
+use std::sync::Arc;
+
+/// One row version: the finite off-diagonal entries, ascending by column.
+type Row = Arc<[(u32, f64)]>;
 
 /// Meeting-interval matrix with per-row freshness stamps.
 #[derive(Clone, Debug)]
 pub struct MiMatrix {
-    n: usize,
-    /// Row-major `n × n`; `INFINITY` = unknown, diagonal = 0.
-    data: Vec<f64>,
+    /// Row versions; `None` = never updated (no entry known).
+    rows: Vec<Option<Row>>,
     /// Last update time per row; `-1` = never updated.
     row_time: Vec<f64>,
 }
@@ -27,13 +37,8 @@ impl MiMatrix {
     /// Creates an all-unknown matrix for `n` nodes.
     pub fn new(n: u32) -> Self {
         let n = n as usize;
-        let mut data = vec![f64::INFINITY; n * n];
-        for i in 0..n {
-            data[i * n + i] = 0.0;
-        }
         MiMatrix {
-            n,
-            data,
+            rows: vec![None; n],
             row_time: vec![-1.0; n],
         }
     }
@@ -41,19 +46,27 @@ impl MiMatrix {
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
-    /// Entry `I_ij`.
+    /// Entry `I_ij` (`INFINITY` = unknown, `0` on the diagonal).
     #[inline]
     pub fn get(&self, i: NodeId, j: NodeId) -> f64 {
-        self.data[i.idx() * self.n + j.idx()]
+        if i == j {
+            return 0.0;
+        }
+        let row = self.row_entries(i);
+        match row.binary_search_by_key(&j.0, |&(col, _)| col) {
+            Ok(k) => row[k].1,
+            Err(_) => f64::INFINITY,
+        }
     }
 
-    /// Row `i` as a slice.
+    /// The known (finite, off-diagonal) entries `(j, I_ij)` of row `i`,
+    /// ascending by column.
     #[inline]
-    pub fn row(&self, i: NodeId) -> &[f64] {
-        &self.data[i.idx() * self.n..(i.idx() + 1) * self.n]
+    pub fn row_entries(&self, i: NodeId) -> &[(u32, f64)] {
+        self.rows[i.idx()].as_deref().unwrap_or(&[])
     }
 
     /// Freshness stamp of row `i` (`-1` = never updated).
@@ -62,48 +75,82 @@ impl MiMatrix {
         self.row_time[i.idx()]
     }
 
-    /// Overwrites row `i` with `values` and stamps it with `time`.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != n`.
-    pub fn set_row(&mut self, i: NodeId, values: &[f64], time: f64) {
-        assert_eq!(values.len(), self.n);
-        self.data[i.idx() * self.n..(i.idx() + 1) * self.n].copy_from_slice(values);
-        self.data[i.idx() * self.n + i.idx()] = 0.0;
+    /// Replaces row `i` with a new version holding `entries` and stamps it
+    /// with `time`. Entries must ascend by column; non-finite values
+    /// (unknown) and the diagonal are dropped.
+    pub fn set_row(&mut self, i: NodeId, entries: impl IntoIterator<Item = (u32, f64)>, time: f64) {
+        let row: Row = entries
+            .into_iter()
+            .filter(|&(j, v)| j != i.0 && v.is_finite())
+            .collect();
+        assert!(
+            row.windows(2).all(|w| w[0].0 < w[1].0),
+            "row entries must ascend by column"
+        );
+        assert!(
+            row.last().is_none_or(|&(j, _)| (j as usize) < self.n()),
+            "row entry outside the network"
+        );
+        self.rows[i.idx()] = Some(row);
         self.row_time[i.idx()] = time;
     }
 
-    /// Updates a single entry of row `i` (stamping the row with `time`).
+    /// Updates a single entry of row `i` (stamping the row with `time`, which
+    /// never moves the stamp backwards). A non-finite `value` makes the entry
+    /// unknown; the diagonal stays 0.
     pub fn set_entry(&mut self, i: NodeId, j: NodeId, value: f64, time: f64) {
-        self.data[i.idx() * self.n + j.idx()] = value;
+        let old = self.row_entries(i);
+        let mut row: Vec<(u32, f64)> = old.iter().copied().filter(|&(c, _)| c != j.0).collect();
+        if i != j && value.is_finite() {
+            let pos = row.partition_point(|&(c, _)| c < j.0);
+            row.insert(pos, (j.0, value));
+        }
+        self.rows[i.idx()] = Some(row.into());
         self.row_time[i.idx()] = self.row_time[i.idx()].max(time);
     }
 
-    /// Adopts every row the `other` matrix has fresher. Returns the number
-    /// of rows copied (for control-overhead accounting).
+    /// Adopts every row the `other` matrix has fresher, by sharing its
+    /// version. Returns the number of rows adopted (for control-overhead
+    /// accounting).
     pub fn merge_from(&mut self, other: &MiMatrix) -> usize {
-        assert_eq!(self.n, other.n);
+        assert_eq!(self.n(), other.n());
         let mut copied = 0;
-        for i in 0..self.n {
+        for i in 0..self.n() {
             if other.row_time[i] > self.row_time[i] {
-                let lo = i * self.n;
-                let hi = lo + self.n;
-                self.data[lo..hi].copy_from_slice(&other.data[lo..hi]);
-                self.row_time[i] = other.row_time[i];
+                self.adopt(other, i);
                 copied += 1;
             }
         }
         copied
     }
 
+    /// As [`MiMatrix::merge_from`], but compares only the rows of `nodes`
+    /// (the rows a community-local gossip can ever set).
+    pub fn merge_rows_from(&mut self, other: &MiMatrix, nodes: &[NodeId]) -> usize {
+        assert_eq!(self.n(), other.n());
+        let mut copied = 0;
+        for i in nodes {
+            if other.row_time[i.idx()] > self.row_time[i.idx()] {
+                self.adopt(other, i.idx());
+                copied += 1;
+            }
+        }
+        copied
+    }
+
+    #[inline]
+    fn adopt(&mut self, other: &MiMatrix, i: usize) {
+        self.rows[i].clone_from(&other.rows[i]);
+        self.row_time[i] = other.row_time[i];
+    }
+
     /// Whether two matrices hold identical data (for convergence tests).
     pub fn same_data(&self, other: &MiMatrix) -> bool {
-        self.n == other.n
-            && self
-                .data
-                .iter()
-                .zip(&other.data)
-                .all(|(a, b)| a == b || (a.is_infinite() && b.is_infinite()))
+        self.n() == other.n()
+            && (0..self.n()).all(|i| {
+                let i = NodeId(i as u32);
+                self.row_entries(i) == other.row_entries(i)
+            })
     }
 }
 
@@ -111,32 +158,54 @@ impl MiMatrix {
 mod tests {
     use super::*;
 
+    /// `(column, value)` pairs of a dense row literal.
+    fn dense(values: &[f64]) -> impl Iterator<Item = (u32, f64)> + '_ {
+        values.iter().enumerate().map(|(j, &v)| (j as u32, v))
+    }
+
     #[test]
     fn starts_unknown_with_zero_diagonal() {
         let m = MiMatrix::new(3);
         assert_eq!(m.get(NodeId(0), NodeId(0)), 0.0);
         assert!(m.get(NodeId(0), NodeId(1)).is_infinite());
         assert_eq!(m.row_time(NodeId(2)), -1.0);
+        assert!(m.row_entries(NodeId(2)).is_empty());
     }
 
     #[test]
     fn set_row_stamps_and_zeroes_diagonal() {
         let mut m = MiMatrix::new(3);
-        m.set_row(NodeId(1), &[5.0, 99.0, 7.0], 10.0);
+        m.set_row(NodeId(1), dense(&[5.0, 99.0, 7.0]), 10.0);
         assert_eq!(m.get(NodeId(1), NodeId(0)), 5.0);
         assert_eq!(m.get(NodeId(1), NodeId(1)), 0.0, "diagonal forced to 0");
         assert_eq!(m.get(NodeId(1), NodeId(2)), 7.0);
         assert_eq!(m.row_time(NodeId(1)), 10.0);
+        assert_eq!(m.row_entries(NodeId(1)), &[(0, 5.0), (2, 7.0)]);
+    }
+
+    #[test]
+    fn set_row_keeps_only_finite_entries() {
+        let mut m = MiMatrix::new(4);
+        m.set_row(NodeId(0), dense(&[0.0, f64::INFINITY, 3.0, f64::NAN]), 1.0);
+        assert_eq!(m.row_entries(NodeId(0)), &[(2, 3.0)]);
+        assert!(m.get(NodeId(0), NodeId(1)).is_infinite());
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend")]
+    fn set_row_rejects_unsorted_entries() {
+        let mut m = MiMatrix::new(3);
+        m.set_row(NodeId(0), [(2, 1.0), (1, 1.0)], 1.0);
     }
 
     #[test]
     fn merge_adopts_only_fresher_rows() {
         let mut a = MiMatrix::new(3);
         let mut b = MiMatrix::new(3);
-        a.set_row(NodeId(0), &[0.0, 10.0, 20.0], 5.0);
-        a.set_row(NodeId(2), &[1.0, 2.0, 0.0], 50.0);
-        b.set_row(NodeId(0), &[0.0, 11.0, 21.0], 9.0); // fresher
-        b.set_row(NodeId(2), &[9.0, 9.0, 0.0], 3.0); // staler
+        a.set_row(NodeId(0), dense(&[0.0, 10.0, 20.0]), 5.0);
+        a.set_row(NodeId(2), dense(&[1.0, 2.0, 0.0]), 50.0);
+        b.set_row(NodeId(0), dense(&[0.0, 11.0, 21.0]), 9.0); // fresher
+        b.set_row(NodeId(2), dense(&[9.0, 9.0, 0.0]), 3.0); // staler
         let copied = a.merge_from(&b);
         assert_eq!(copied, 1);
         assert_eq!(a.get(NodeId(0), NodeId(1)), 11.0, "fresher row adopted");
@@ -144,11 +213,38 @@ mod tests {
     }
 
     #[test]
+    fn merge_shares_the_adopted_version() {
+        let mut a = MiMatrix::new(3);
+        let mut b = MiMatrix::new(3);
+        b.set_row(NodeId(1), dense(&[4.0, 0.0, 6.0]), 2.0);
+        assert_eq!(a.merge_from(&b), 1);
+        assert!(std::ptr::eq(
+            a.row_entries(NodeId(1)),
+            b.row_entries(NodeId(1))
+        ));
+    }
+
+    #[test]
+    fn merge_rows_from_compares_only_the_given_rows() {
+        let mut a = MiMatrix::new(4);
+        let mut b = MiMatrix::new(4);
+        b.set_row(NodeId(1), dense(&[4.0, 0.0, 6.0, 7.0]), 2.0);
+        b.set_row(NodeId(3), dense(&[1.0, 2.0, 3.0, 0.0]), 2.0);
+        assert_eq!(a.merge_rows_from(&b, &[NodeId(0), NodeId(1)]), 1);
+        assert_eq!(a.get(NodeId(1), NodeId(3)), 7.0);
+        assert_eq!(
+            a.row_time(NodeId(3)),
+            -1.0,
+            "row outside the subset untouched"
+        );
+    }
+
+    #[test]
     fn bidirectional_merge_converges() {
         let mut a = MiMatrix::new(3);
         let mut b = MiMatrix::new(3);
-        a.set_row(NodeId(0), &[0.0, 10.0, 20.0], 5.0);
-        b.set_row(NodeId(1), &[30.0, 0.0, 40.0], 7.0);
+        a.set_row(NodeId(0), dense(&[0.0, 10.0, 20.0]), 5.0);
+        b.set_row(NodeId(1), dense(&[30.0, 0.0, 40.0]), 7.0);
         let a2 = a.clone();
         a.merge_from(&b);
         b.merge_from(&a2);
@@ -166,5 +262,8 @@ mod tests {
         assert_eq!(m.row_time(NodeId(0)), 10.0);
         m.set_entry(NodeId(0), NodeId(1), 43.0, 5.0);
         assert_eq!(m.row_time(NodeId(0)), 10.0, "older stamp must not regress");
+        assert_eq!(m.get(NodeId(0), NodeId(1)), 43.0);
+        m.set_entry(NodeId(0), NodeId(1), f64::INFINITY, 11.0);
+        assert!(m.row_entries(NodeId(0)).is_empty(), "∞ makes it unknown");
     }
 }

@@ -125,7 +125,7 @@ fn memd_consistent_after_gossip_chain() {
 fn memd_on_empty_matrix_is_unreachable() {
     let mi = MiMatrix::new(5);
     let mut solver = MemdSolver::new();
-    let row = mi.row(NodeId(0)).to_vec();
+    let row: Vec<(u32, f64)> = (0..5).map(|j| (j, mi.get(NodeId(0), NodeId(j)))).collect();
     let d = solver.memd_from(NodeId(0), &mi, &row, None);
     assert_eq!(d[0], 0.0);
     for dv in &d[1..5] {

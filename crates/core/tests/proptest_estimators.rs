@@ -148,7 +148,7 @@ proptest! {
             // Strictly increasing stamps so no two writes tie (ties with
             // different data are unresolvable for any gossip and cannot
             // occur in the protocol, where each row has one writer).
-            target.set_row(NodeId(*row), &values, *time + chunk as f64 * 2000.0);
+            target.set_row(NodeId(*row), (0..n).zip(values), *time + chunk as f64 * 2000.0);
         }
         a.merge_from(&b);
         b.merge_from(&a);
@@ -184,9 +184,9 @@ proptest! {
         with_extra.push(extra);
         let mi2 = build(&with_extra);
         let mut solver = MemdSolver::new();
-        let row1 = mi1.row(NodeId(0)).to_vec();
+        let row1: Vec<(u32, f64)> = (0..n).map(|j| (j, mi1.get(NodeId(0), NodeId(j)))).collect();
         let d1 = solver.memd_from(NodeId(0), &mi1, &row1, None).to_vec();
-        let row2 = mi2.row(NodeId(0)).to_vec();
+        let row2: Vec<(u32, f64)> = (0..n).map(|j| (j, mi2.get(NodeId(0), NodeId(j)))).collect();
         let d2 = solver.memd_from(NodeId(0), &mi2, &row2, None).to_vec();
         for v in 0..n as usize {
             prop_assert!(d2[v] <= d1[v] + 1e-9, "adding an edge increased MEMD to {v}");

@@ -68,7 +68,7 @@ pub fn build_protocol_spec(
     match &mut spec.params {
         ProtocolParams::Eer(c) => {
             c.lambda = lambda;
-            c.alpha = 0.05 + frac;
+            c.alpha = 0.05 + frac * 0.95;
             c.window = window;
             c.forward_hysteresis = secs;
             c.refresh = secs * 0.5;
@@ -84,7 +84,7 @@ pub fn build_protocol_spec(
         }
         ProtocolParams::Cr(c) => {
             c.lambda = lambda;
-            c.alpha = 0.05 + frac;
+            c.alpha = 0.05 + frac * 0.95;
             c.window = window;
             c.forward_hysteresis = secs;
             c.probability_hysteresis = frac;
