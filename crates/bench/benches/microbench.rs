@@ -134,8 +134,8 @@ fn bench_trace_generation(c: &mut Criterion) {
 }
 
 /// Per-step cost of incremental contact detection at city scale: the flat
-/// grid rebuild + neighborhood probe over all nodes, amortized over a batch
-/// of steps so open-contact bookkeeping participates realistically.
+/// grid rebuild + cell-pair scan over all nodes, amortized over a batch of
+/// steps so open-contact bookkeeping participates realistically.
 fn bench_contact_step(c: &mut Criterion) {
     for n in [1_000u32, 10_000] {
         let cfg = ScenarioConfig {

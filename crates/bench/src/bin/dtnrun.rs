@@ -129,11 +129,9 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--protocol" => out.protocol = ProtocolSpec::parse(&val("--protocol")?)?,
             "--scenario" => out.scenario = Some(val("--scenario")?),
             "--workload" => out.workload = WorkloadSpec::parse(&val("--workload")?)?,
-            "--nodes" => out.nodes = val("--nodes")?.parse().map_err(|e| format!("{e}"))?,
+            "--nodes" => out.nodes = CommonArgs::parse_node_count(&val("--nodes")?)?,
             "--seed" => out.seed = val("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--duration" => {
-                out.duration = Some(val("--duration")?.parse().map_err(|e| format!("{e}"))?)
-            }
+            "--duration" => out.duration = Some(CommonArgs::parse_duration(&val("--duration")?)?),
             "--lambda" => out.lambda = Some(val("--lambda")?.parse().map_err(|e| format!("{e}"))?),
             "--alpha" => out.alpha = Some(val("--alpha")?.parse().map_err(|e| format!("{e}"))?),
             "--trace" => out.scenario = Some(format!("trace:{}", val("--trace")?)),

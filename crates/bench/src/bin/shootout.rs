@@ -115,15 +115,8 @@ fn parse_args() -> Result<Option<Args>, String> {
         let mut val = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match a.as_str() {
             "--seeds" => out.seeds = val("--seeds")?.parse().map_err(|e| format!("{e}"))?,
-            "--nodes" => {
-                out.node_counts = val("--nodes")?
-                    .split(',')
-                    .map(|s| s.parse().map_err(|e| format!("--nodes: {e}")))
-                    .collect::<Result<_, _>>()?
-            }
-            "--duration" => {
-                out.duration = val("--duration")?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--nodes" => out.node_counts = CommonArgs::parse_nodes(&val("--nodes")?)?,
+            "--duration" => out.duration = CommonArgs::parse_duration(&val("--duration")?)?,
             "--protocols" => {
                 out.protocols = split_spec_list(&val("--protocols")?)
                     .iter()

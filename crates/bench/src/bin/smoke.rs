@@ -50,11 +50,8 @@ fn main() {
                 workload = WorkloadSpec::parse(&val("--workload")).unwrap_or_else(|e| die(e))
             }
             "--duration" => {
-                duration = Some(
-                    val("--duration")
-                        .parse()
-                        .unwrap_or_else(|e| die(format!("--duration: {e}"))),
-                )
+                duration =
+                    Some(CommonArgs::parse_duration(&val("--duration")).unwrap_or_else(|e| die(e)))
             }
             "--probe" => probes.push(ProbeSpec::parse(&val("--probe")).unwrap_or_else(|e| die(e))),
             "--out" => outs.push(OutputSpec::parse(&val("--out")).unwrap_or_else(|e| die(e))),

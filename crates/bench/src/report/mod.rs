@@ -207,10 +207,7 @@ impl CommonArgs {
                 }
                 "--nodes" => {
                     let v = it.next().ok_or("--nodes needs a value")?;
-                    out.node_counts = v
-                        .split(',')
-                        .map(|s| s.parse().map_err(|e| format!("--nodes: {e}")))
-                        .collect::<Result<_, _>>()?;
+                    out.node_counts = Self::parse_nodes(&v)?;
                 }
                 "--scenario" => {
                     let v = it.next().ok_or("--scenario needs a value")?;
@@ -231,11 +228,7 @@ impl CommonArgs {
                 }
                 "--duration" => {
                     let v = it.next().ok_or("--duration needs a value")?;
-                    let d: f64 = v.parse().map_err(|e| format!("--duration: {e}"))?;
-                    if !d.is_finite() || d <= 0.0 {
-                        return Err(format!("--duration: need a positive horizon, got {v}"));
-                    }
-                    out.duration = Some(d);
+                    out.duration = Some(Self::parse_duration(&v)?);
                 }
                 "--out" => {
                     let v = it.next().ok_or("--out needs FORMAT:PATH")?;
@@ -301,6 +294,34 @@ impl CommonArgs {
     /// ignores `n` (the recording fixes the node count).
     pub fn scenario_for(&self, n: u32) -> ScenarioSpec {
         ScenarioSpec::parse(&self.scenario, n).expect("validated at parse time")
+    }
+
+    /// Parses a `--duration` value: a finite, positive horizon in seconds.
+    /// Every binary's `--duration` goes through this one check.
+    pub fn parse_duration(v: &str) -> Result<f64, String> {
+        let d: f64 = v.parse().map_err(|e| format!("--duration: {e}"))?;
+        if !d.is_finite() || d <= 0.0 {
+            return Err(format!("--duration: need a positive horizon, got {v}"));
+        }
+        Ok(d)
+    }
+
+    /// Parses one `--nodes` count: a generated scenario needs at least two
+    /// nodes. Every binary's `--nodes` goes through this one check.
+    pub fn parse_node_count(v: &str) -> Result<u32, String> {
+        let n: u32 = v.parse().map_err(|e| format!("--nodes: {e}"))?;
+        if n < 2 {
+            return Err(format!(
+                "--nodes: a scenario needs at least 2 nodes, got {n}"
+            ));
+        }
+        Ok(n)
+    }
+
+    /// Parses a comma-separated `--nodes` list (`40,80,120`), each count as
+    /// [`CommonArgs::parse_node_count`].
+    pub fn parse_nodes(v: &str) -> Result<Vec<u32>, String> {
+        v.split(',').map(Self::parse_node_count).collect()
     }
 
     /// Parses a `--drain` value: `inline` (the default dispatch) or
@@ -546,6 +567,55 @@ mod tests {
             .into_iter(),
         );
         assert!(err.is_err());
+    }
+
+    /// The one `--duration` check every binary shares: a finite, positive
+    /// horizon, or an error naming the flag.
+    #[test]
+    fn duration_parser_rejects_non_positive_and_non_finite_horizons() {
+        assert_eq!(CommonArgs::parse_duration("1500"), Ok(1500.0));
+        assert_eq!(CommonArgs::parse_duration("0.5"), Ok(0.5));
+        for bad in ["-5", "0", "-0", "nan", "NaN", "inf", "-inf", "infinity"] {
+            assert_eq!(
+                CommonArgs::parse_duration(bad),
+                Err(format!("--duration: need a positive horizon, got {bad}")),
+                "{bad}"
+            );
+        }
+        let err = CommonArgs::parse_duration("soon").unwrap_err();
+        assert!(err.starts_with("--duration: "), "{err}");
+        for bad in ["nan", "inf"] {
+            let err = CommonArgs::parse(["--duration".to_string(), bad.to_string()].into_iter())
+                .unwrap_err();
+            assert_eq!(
+                err,
+                format!("--duration: need a positive horizon, got {bad}")
+            );
+        }
+    }
+
+    /// The one `--nodes` check every binary shares: a generated scenario
+    /// needs at least two nodes, so a smaller count fails at parse time
+    /// instead of in a sweep worker.
+    #[test]
+    fn node_counts_below_two_are_rejected_by_name() {
+        assert_eq!(CommonArgs::parse_node_count("2"), Ok(2));
+        assert_eq!(CommonArgs::parse_nodes("40,80,120"), Ok(vec![40, 80, 120]));
+        for bad in ["0", "1"] {
+            assert_eq!(
+                CommonArgs::parse_node_count(bad),
+                Err(format!(
+                    "--nodes: a scenario needs at least 2 nodes, got {bad}"
+                ))
+            );
+        }
+        assert!(CommonArgs::parse_nodes("40,1").is_err());
+        assert!(CommonArgs::parse_node_count("-1")
+            .unwrap_err()
+            .starts_with("--nodes: "));
+        let err =
+            CommonArgs::parse(["--nodes".to_string(), "12,1".to_string()].into_iter()).unwrap_err();
+        assert_eq!(err, "--nodes: a scenario needs at least 2 nodes, got 1");
     }
 
     #[test]

@@ -1,21 +1,29 @@
 //! Contact detection from trajectories.
 //!
 //! Positions are sampled every `dt` seconds; nodes within `range` metres are
-//! in contact. A reused flat counting-sort grid with cell size `range`
-//! reduces the per-step pair test from O(n²) to O(n) for the sparse
-//! densities of vehicular scenarios, with zero heap allocation in steady
-//! state. [`ContactStepper`] exposes the detector incrementally — one
-//! sampling step at a time, emitting opened and closed contacts — which is
-//! what lets contact supply stream into the engine window-by-window
-//! (see [`crate::stream`]) instead of materializing a whole-horizon trace.
+//! in contact. Each step bins the positions into a reused flat counting-sort
+//! grid whose cell side is `range`, so two nodes in range always sit in the
+//! same or in adjacent (wrapped) table cells. The build computes each node's
+//! wrapped table cell once; the pair scan then visits every pair of adjacent
+//! cells from one side only — a cell with itself, with its east neighbour and
+//! with the three cells below it — and applies the exact distance test to
+//! each candidate, with no integer division and no hashing. A step costs
+//! O(n) for the sparse densities of vehicular scenarios and allocates nothing
+//! in steady state.
+//!
+//! Open contacts are a pair-sorted list. Each step merges it with the step's
+//! sorted, deduplicated in-range pairs: a pair only in the list has closed, a
+//! pair only in the step has opened. [`ContactStepper`] exposes the detector
+//! one sampling step at a time, emitting opened and closed contacts — which
+//! is what lets contact supply stream into the engine window-by-window (see
+//! [`crate::stream`]) instead of materializing a whole-horizon trace.
 //! [`generate_trace`] drives the same stepper to completion when a
 //! materialized [`ContactTrace`] is wanted.
 
 use crate::geometry::Point;
 use crate::trajectory::{Trajectory, TrajectoryCursor};
 use dtn_sim::{Contact, ContactTrace, NodeId, NodePair, SimTime};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// Contact-detection parameters.
 #[derive(Clone, Copy, Debug)]
@@ -39,24 +47,28 @@ impl Default for ContactGenConfig {
 
 /// A flat counting-sort spatial grid, rebuilt each step from reused buffers.
 ///
-/// Layout: `starts[c]..starts[c + 1]` indexes into `items`, the node ids
-/// whose position falls in cell `c`. The table is capped at O(n) cells;
-/// worlds wider than the cap wrap (alias) onto the table, which only adds
-/// false candidates — the caller's exact distance test rejects them.
+/// Layout: `starts[c]..starts[c + 1]` indexes into `items` and `points`, the
+/// node ids and positions that fall in table cell `c = row * cols + col`.
+/// World cell `(cx, cy)` — the cell formula `((p.x - min_x) / cell) as usize`
+/// per axis — maps to table cell `(cx mod cols, cy mod rows)`. The table is
+/// capped at O(n) cells; a world larger than the cap wraps (aliases) onto
+/// the table, which only adds false candidates that the exact distance test
+/// rejects. Adjacent world cells always map to the same or to adjacent
+/// wrapped table cells, so the scan's coverage holds either way.
 #[derive(Debug, Default)]
 struct FlatGrid {
     cols: usize,
     rows: usize,
-    min_x: f64,
-    min_y: f64,
-    cell: f64,
     /// Per-cell occupancy during the build; zeroed again by the scatter.
     counts: Vec<u32>,
     /// Exclusive prefix sums of `counts`: cell start offsets into `items`.
     starts: Vec<u32>,
     /// Node ids grouped by cell.
     items: Vec<u32>,
-    /// Cell index of each node, kept for the scatter pass.
+    /// The positions of `items`, slot for slot, so the scan reads them
+    /// sequentially.
+    points: Vec<Point>,
+    /// Table cell of each node, kept for the scatter pass.
     cell_of: Vec<u32>,
 }
 
@@ -65,17 +77,6 @@ impl FlatGrid {
     /// buffers only ever grow, so a steady-state rebuild never allocates.
     fn build(&mut self, positions: &[Point], cell: f64) {
         let n = positions.len();
-        self.cell = cell;
-        if n == 0 {
-            self.cols = 1;
-            self.rows = 1;
-            if self.starts.len() < 2 {
-                self.starts.resize(2, 0);
-            }
-            self.starts[0] = 0;
-            self.starts[1] = 0;
-            return;
-        }
         let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
         let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
         for p in positions {
@@ -84,14 +85,11 @@ impl FlatGrid {
             max_x = max_x.max(p.x);
             max_y = max_y.max(p.y);
         }
-        self.min_x = min_x;
-        self.min_y = min_y;
-        let cap = n.max(64) * 4;
         let need_cols = (((max_x - min_x) / cell) as usize).saturating_add(1);
         let need_rows = (((max_y - min_y) / cell) as usize).saturating_add(1);
-        self.cols = need_cols.min(cap);
-        self.rows = need_rows.min((cap / self.cols).max(1));
-        let cells = self.cols * self.rows;
+        (self.cols, self.rows) = table_shape(need_cols, need_rows, n.max(64) * 4);
+        let (cols, rows) = (self.cols, self.rows);
+        let cells = cols * rows;
 
         if self.counts.len() < cells + 1 {
             self.counts.resize(cells + 1, 0);
@@ -101,6 +99,7 @@ impl FlatGrid {
         }
         if self.items.len() < n {
             self.items.resize(n, 0);
+            self.points.resize(n, Point::default());
         }
         if self.cell_of.len() < n {
             self.cell_of.resize(n, 0);
@@ -108,7 +107,9 @@ impl FlatGrid {
         self.counts[..cells].fill(0);
 
         for (i, p) in positions.iter().enumerate() {
-            let c = self.cell_index(*p);
+            let cx = ((p.x - min_x) / cell) as usize;
+            let cy = ((p.y - min_y) / cell) as usize;
+            let c = (cy % rows) * cols + cx % cols;
             self.cell_of[i] = c as u32;
             self.counts[c] += 1;
         }
@@ -120,46 +121,53 @@ impl FlatGrid {
         self.starts[cells] = running;
         // Scatter, reusing `counts` as per-cell countdown cursors (this
         // leaves `counts` all-zero again for the next build).
-        for i in 0..n {
+        for (i, &p) in positions.iter().enumerate() {
             let c = self.cell_of[i] as usize;
             self.counts[c] -= 1;
-            self.items[(self.starts[c] + self.counts[c]) as usize] = i as u32;
+            let slot = (self.starts[c] + self.counts[c]) as usize;
+            self.items[slot] = i as u32;
+            self.points[slot] = p;
         }
     }
 
+    /// The slots of table cell `c`.
     #[inline]
-    fn cell_index(&self, p: Point) -> usize {
-        let cx = ((p.x - self.min_x) / self.cell) as usize;
-        let cy = ((p.y - self.min_y) / self.cell) as usize;
-        (cy % self.rows) * self.cols + (cx % self.cols)
+    fn cell(&self, c: usize) -> Range<usize> {
+        self.starts[c] as usize..self.starts[c + 1] as usize
     }
+}
 
-    /// Calls `f` with every node id stored in the 3×3 cell neighborhood of
-    /// `p`. May yield duplicates or far-away nodes when the table wraps;
-    /// callers must apply the exact distance test.
-    #[inline]
-    fn neighbors(&self, p: Point, mut f: impl FnMut(u32)) {
-        let cx = ((p.x - self.min_x) / self.cell) as i64;
-        let cy = ((p.y - self.min_y) / self.cell) as i64;
-        for dy in -1..=1i64 {
-            let row = (cy + dy).rem_euclid(self.rows as i64) as usize;
-            for dx in -1..=1i64 {
-                let col = (cx + dx).rem_euclid(self.cols as i64) as usize;
-                let c = row * self.cols + col;
-                for s in self.starts[c] as usize..self.starts[c + 1] as usize {
-                    f(self.items[s]);
-                }
-            }
-        }
+/// The `(cols, rows)` of a table for a world `need_cols × need_rows` cells
+/// large, holding at most `cap` cells. When the world is larger, both axes
+/// shrink by the same factor — the shorter axis to its scaled length (never
+/// below one cell), the longer one to whatever the cap leaves — so a wide
+/// world wraps on both axes alike instead of collapsing to a few rows.
+fn table_shape(need_cols: usize, need_rows: usize, cap: usize) -> (usize, usize) {
+    if need_cols.saturating_mul(need_rows) <= cap {
+        return (need_cols, need_rows);
+    }
+    let (short, long) = (need_cols.min(need_rows), need_cols.max(need_rows));
+    let scale = (cap as f64 / (short as f64 * long as f64)).sqrt();
+    let short = ((short as f64 * scale).round() as usize).max(1);
+    let long = (cap / short).min(long);
+    if need_cols <= need_rows {
+        (short, long)
+    } else {
+        (long, short)
     }
 }
 
 /// Incremental, windowed contact detector over a fixed trajectory set.
 ///
 /// Owns all scratch state — per-trajectory cursor positions, the flat
-/// spatial grid, the map of currently-open contacts — so that a steady-state
-/// [`ContactStepper::step`] performs zero heap allocations once buffers are
-/// warm. [`generate_trace`] drives it to completion for the materialized
+/// spatial grid, the pair-sorted list of open contacts and its merge
+/// target — so that a steady-state [`ContactStepper::step`] performs zero
+/// heap allocations once buffers are warm. A step runs in three phases:
+/// `prepare_step` samples the positions and rebuilds the grid, `scan_band`
+/// collects the in-range pairs of a band of grid rows, and `commit_step`
+/// merges them into the open contacts. [`ContactStepper::step`] runs the
+/// three with one band; [`crate::shard`] runs the scan on a worker pool.
+/// [`generate_trace`] drives the stepper to completion for the materialized
 /// path; [`crate::stream::MobilityContactSource`] drives it window-by-window
 /// so a run never holds the whole-horizon contact process in memory.
 #[derive(Debug)]
@@ -173,8 +181,12 @@ pub struct ContactStepper {
     segs: Vec<usize>,
     positions: Vec<Point>,
     grid: FlatGrid,
-    /// Open contacts: pair → (start time, last step seen).
-    open: HashMap<NodePair, (f64, u64)>,
+    /// Open contacts `(pair, start time)`, sorted by pair.
+    open: Vec<(NodePair, f64)>,
+    /// The merge target of the next commit; swapped with `open` after it.
+    next_open: Vec<(NodePair, f64)>,
+    /// In-range pairs of the current step, for [`ContactStepper::step`].
+    candidates: Vec<NodePair>,
 }
 
 impl ContactStepper {
@@ -193,7 +205,9 @@ impl ContactStepper {
             segs: vec![0; n],
             positions: vec![Point::default(); n],
             grid: FlatGrid::default(),
-            open: HashMap::new(),
+            open: Vec::new(),
+            next_open: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -224,79 +238,20 @@ impl ContactStepper {
         downs: &mut Vec<Contact>,
         ups: &mut Vec<NodePair>,
     ) -> Option<f64> {
-        assert_eq!(trajs.len(), self.segs.len(), "trajectory set changed");
-        if self.finalized {
-            return None;
+        let scan = self.prepare_step(trajs)?;
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        if scan {
+            self.scan_band(0, 1, &mut candidates);
         }
-        if self.step >= self.steps {
-            self.finalized = true;
-            let base = downs.len();
-            for (&pair, &(start, _)) in self.open.iter() {
-                downs.push(Contact {
-                    pair,
-                    start: SimTime::secs(start),
-                    end: SimTime::secs(self.duration),
-                });
-            }
-            self.open.clear();
-            downs[base..].sort_unstable_by_key(|c| (c.start, c.pair));
-            return Some(self.duration);
-        }
-
-        let t = self.step as f64 * self.cfg.dt;
-        let step = self.step;
-        for (i, traj) in trajs.iter().enumerate() {
-            let mut cur = TrajectoryCursor::with_seg(traj, self.segs[i]);
-            self.positions[i] = cur.position_at(t);
-            self.segs[i] = cur.seg();
-        }
-        self.grid.build(&self.positions, self.cfg.range);
-
-        let range_sq = self.cfg.range * self.cfg.range;
-        let grid = &self.grid;
-        let open = &mut self.open;
-        let positions = &self.positions;
-        let up_base = ups.len();
-        for (i, p) in positions.iter().enumerate() {
-            grid.neighbors(*p, |j| {
-                if (j as usize) <= i {
-                    return;
-                }
-                if p.dist_sq(positions[j as usize]) <= range_sq {
-                    let pair = NodePair::new(NodeId(i as u32), NodeId(j));
-                    match open.entry(pair) {
-                        Entry::Occupied(mut e) => e.get_mut().1 = step,
-                        Entry::Vacant(e) => {
-                            e.insert((t, step));
-                            ups.push(pair);
-                        }
-                    }
-                }
-            });
-        }
-        ups[up_base..].sort_unstable();
-
-        let down_base = downs.len();
-        self.open.retain(|pair, (start, last)| {
-            if *last != step {
-                downs.push(Contact {
-                    pair: *pair,
-                    start: SimTime::secs(*start),
-                    end: SimTime::secs(t),
-                });
-                false
-            } else {
-                true
-            }
-        });
-        downs[down_base..].sort_unstable_by_key(|c| (c.start, c.pair));
-        self.step += 1;
-        Some(t)
+        let t = self.commit_step(&mut candidates, downs, ups);
+        self.candidates = candidates;
+        t
     }
 
-    /// Phase 1 of a sharded step (see [`crate::shard`]): advances every
-    /// trajectory cursor to the next sampling instant and rebuilds the grid,
-    /// without touching the open-contact map or the step counter.
+    /// Phase 1 of a step: advances every trajectory cursor to the next
+    /// sampling instant and rebuilds the grid, without touching the open
+    /// contacts or the step counter.
     ///
     /// Returns `None` once the horizon has been finalized, `Some(false)` when
     /// the next step is the horizon close-out (nothing to scan — go straight
@@ -320,43 +275,81 @@ impl ContactStepper {
         Some(true)
     }
 
-    /// Phase 2 of a sharded step: scans band `band` of `n_bands` horizontal
-    /// grid-row bands, pushing every in-range candidate pair whose *smaller*
-    /// node falls in the band. Read-only, so any number of workers can scan
-    /// disjoint bands of one prepared step concurrently.
+    /// Phase 2 of a step: scans band `band` of `n_bands` horizontal bands of
+    /// grid rows, pushing every in-range pair found from a cell of the band.
+    /// Read-only, so any number of workers can scan disjoint bands of one
+    /// prepared step concurrently.
     ///
-    /// Every node lives in exactly one grid cell and every grid row in
-    /// exactly one band, so the union over all bands is exactly the pair set
-    /// the sequential [`ContactStepper::step`] discovers — independently of
-    /// `n_bands`. Candidates may repeat when the grid table wraps (aliased
-    /// 3×3 neighborhoods); [`ContactStepper::commit_step`] dedups.
+    /// Each table cell is scanned against itself, its east neighbour and the
+    /// three cells of the row below (all wrapped), skipping a neighbour that
+    /// is the cell itself or repeats an earlier one. Every pair of adjacent
+    /// cells is thereby scanned from exactly one of its two cells: a west
+    /// neighbour scans the cell as its east, a cell in the row above as one
+    /// of its three below. Every row lies in exactly one band, so the union
+    /// over the bands is exactly the pair set of the one-band scan that
+    /// [`ContactStepper::step`] runs — independently of `n_bands`. With fewer
+    /// than three cells on an axis a cell pair can be scanned from both of
+    /// its cells, so a pair can repeat; [`ContactStepper::commit_step`]
+    /// dedups.
     pub(crate) fn scan_band(&self, band: usize, n_bands: usize, out: &mut Vec<NodePair>) {
-        let rows = self.grid.rows;
-        let cols = self.grid.cols;
-        let r0 = band * rows / n_bands;
-        let r1 = (band + 1) * rows / n_bands;
+        let grid = &self.grid;
+        let (cols, rows, starts) = (grid.cols, grid.rows, &grid.starts);
         let range_sq = self.cfg.range * self.cfg.range;
-        let positions = &self.positions;
-        for c in r0 * cols..r1 * cols {
-            for s in self.grid.starts[c] as usize..self.grid.starts[c + 1] as usize {
-                let i = self.grid.items[s] as usize;
-                let p = positions[i];
-                self.grid.neighbors(p, |j| {
-                    if (j as usize) <= i {
-                        return;
+        let test = |a: usize, b: usize, out: &mut Vec<NodePair>| {
+            if grid.points[a].dist_sq(grid.points[b]) <= range_sq {
+                out.push(NodePair::new(NodeId(grid.items[a]), NodeId(grid.items[b])));
+            }
+        };
+        for row in band * rows / n_bands..(band + 1) * rows / n_bands {
+            let here = row * cols;
+            let below = if row + 1 == rows { 0 } else { (row + 1) * cols };
+            for col in 0..cols {
+                let c = here + col;
+                let own = grid.cell(c);
+                if own.is_empty() {
+                    continue;
+                }
+                // Slot `a` of the cell pairs with the slots after it up to
+                // `tail` and with the slot ranges in `near`.
+                let tail;
+                let mut near: [Range<usize>; 4] = Default::default();
+                let mut k = 0;
+                if rows >= 2 && col >= 1 && col + 1 < cols {
+                    // Away from the table's edge columns, the cell and its
+                    // east neighbour are adjacent slot ranges, and so are
+                    // the three cells below.
+                    tail = starts[c + 2] as usize;
+                    near[0] = starts[below + col - 1] as usize..starts[below + col + 2] as usize;
+                    k = 1;
+                } else {
+                    tail = own.end;
+                    let west = if col == 0 { cols - 1 } else { col - 1 };
+                    let east = if col + 1 == cols { 0 } else { col + 1 };
+                    let cells = [here + east, below + west, below + col, below + east];
+                    for (i, &nb) in cells.iter().enumerate() {
+                        if nb != c && !cells[..i].contains(&nb) {
+                            near[k] = grid.cell(nb);
+                            k += 1;
+                        }
                     }
-                    if p.dist_sq(positions[j as usize]) <= range_sq {
-                        out.push(NodePair::new(NodeId(i as u32), NodeId(j)));
+                }
+                for a in own {
+                    for b in a + 1..tail {
+                        test(a, b, out);
                     }
-                });
+                    for slots in &near[..k] {
+                        for b in slots.clone() {
+                            test(a, b, out);
+                        }
+                    }
+                }
             }
         }
     }
 
-    /// Phase 3 of a sharded step: merges the candidate pairs scanned by the
-    /// bands and runs the identical open-map bookkeeping the sequential
-    /// [`ContactStepper::step`] performs, emitting the same sorted
-    /// `downs`/`ups`. Also handles the horizon close-out step (when
+    /// Phase 3 of a step: merges the in-range pairs the bands found into the
+    /// open contacts and emits `downs` sorted by `(start, pair)` and `ups`
+    /// sorted by pair. Also handles the horizon close-out step (when
     /// [`ContactStepper::prepare_step`] returned `Some(false)` the candidate
     /// list is ignored). Returns the processed timestamp.
     ///
@@ -372,52 +365,45 @@ impl ContactStepper {
         if self.finalized {
             return None;
         }
-        if self.step >= self.steps {
+        let down_base = downs.len();
+        let closed = |(pair, start): (NodePair, f64), end: f64| Contact {
+            pair,
+            start: SimTime::secs(start),
+            end: SimTime::secs(end),
+        };
+        let t = if self.step >= self.steps {
             self.finalized = true;
-            let base = downs.len();
-            for (&pair, &(start, _)) in self.open.iter() {
-                downs.push(Contact {
-                    pair,
-                    start: SimTime::secs(start),
-                    end: SimTime::secs(self.duration),
-                });
-            }
-            self.open.clear();
-            downs[base..].sort_unstable_by_key(|c| (c.start, c.pair));
-            return Some(self.duration);
-        }
-
-        let t = self.step as f64 * self.cfg.dt;
-        let step = self.step;
-        candidates.sort_unstable();
-        candidates.dedup();
-        // Iterating the sorted candidates pushes new ups already pair-sorted
-        // — the exact post-sort state of the sequential path.
-        for &pair in candidates.iter() {
-            match self.open.entry(pair) {
-                Entry::Occupied(mut e) => e.get_mut().1 = step,
-                Entry::Vacant(e) => {
-                    e.insert((t, step));
-                    ups.push(pair);
+            let end = self.duration;
+            downs.extend(self.open.drain(..).map(|o| closed(o, end)));
+            end
+        } else {
+            let t = self.step as f64 * self.cfg.dt;
+            // The key orders pairs as `NodePair`'s `Ord` does, in one compare.
+            candidates.sort_unstable_by_key(|p| (u64::from(p.a.0) << 32) | u64::from(p.b.0));
+            candidates.dedup();
+            // Both lists are pair-sorted: a pair only in `open` has closed,
+            // one only in `candidates` has opened — in pair order, so the
+            // ups need no sort.
+            self.next_open.clear();
+            let mut open = self.open.iter().peekable();
+            for &pair in candidates.iter() {
+                while let Some(&gone) = open.next_if(|o| o.0 < pair) {
+                    downs.push(closed(gone, t));
+                }
+                match open.next_if(|o| o.0 == pair) {
+                    Some(&kept) => self.next_open.push(kept),
+                    None => {
+                        self.next_open.push((pair, t));
+                        ups.push(pair);
+                    }
                 }
             }
-        }
-
-        let down_base = downs.len();
-        self.open.retain(|pair, (start, last)| {
-            if *last != step {
-                downs.push(Contact {
-                    pair: *pair,
-                    start: SimTime::secs(*start),
-                    end: SimTime::secs(t),
-                });
-                false
-            } else {
-                true
-            }
-        });
+            downs.extend(open.map(|&gone| closed(gone, t)));
+            std::mem::swap(&mut self.open, &mut self.next_open);
+            self.step += 1;
+            t
+        };
         downs[down_base..].sort_unstable_by_key(|c| (c.start, c.pair));
-        self.step += 1;
         Some(t)
     }
 }
@@ -541,6 +527,31 @@ mod tests {
         assert_eq!(trace.contacts.len(), 1);
         let c = trace.contacts[0];
         assert_eq!(c.pair, NodePair::new(NodeId(0), NodeId(6)));
+    }
+
+    /// A world within the cap keeps its shape; a larger one shrinks both
+    /// axes alike, within the cap, never below one cell per axis.
+    #[test]
+    fn table_shape_shrinks_both_axes_alike() {
+        assert_eq!(table_shape(5, 6, 256), (5, 6));
+        assert_eq!(table_shape(1, 1, 256), (1, 1));
+        // A 5 km x 3 km world at n = 2000: both axes wrap, by about the same
+        // factor, instead of keeping every column and a handful of rows.
+        assert_eq!(table_shape(500, 300, 8000), (115, 69));
+        assert_eq!(table_shape(300, 500, 8000), (69, 115));
+        assert_eq!(table_shape(12_000, 12_000, 256), (16, 16));
+        // A thin world: the short axis bottoms out at one cell.
+        assert_eq!(table_shape(12_000, 4, 256), (256, 1));
+        assert_eq!(table_shape(100, 3, 256), (85, 3));
+        for (w, h, cap) in [
+            (7, 1000, 64),
+            (1 << 40, 3, 256),
+            (usize::MAX, usize::MAX, 400),
+        ] {
+            let (cols, rows) = table_shape(w, h, cap);
+            assert!(cols >= 1 && rows >= 1 && cols * rows <= cap, "{w}x{h}");
+            assert!(cols <= w && rows <= h, "{w}x{h}");
+        }
     }
 
     /// The stepper emits per-step ups/downs consistent with the trace, and

@@ -3,22 +3,24 @@
 //! [`ShardedContactSource`] is a drop-in replacement for
 //! [`MobilityContactSource`](crate::stream::MobilityContactSource) that
 //! splits each sampling step's pair scan across a worker pool. A step runs
-//! in three phases on one shared [`ContactStepper`]:
+//! in three phases on one shared [`ContactStepper`] — the phases its own
+//! [`ContactStepper::step`] runs with a single band:
 //!
 //! 1. **prepare** (coordinator, write lock): advance every trajectory cursor
 //!    and rebuild the spatial grid;
 //! 2. **scan** (workers, read lock): each worker scans a horizontal band of
-//!    grid rows, pushing candidate pairs whose smaller node lives in the
-//!    band into a per-shard buffer;
+//!    grid rows, pushing the in-range pairs of every cell pair scanned from
+//!    a cell in the band into a per-shard buffer;
 //! 3. **commit** (coordinator, write lock): merge the shard buffers
-//!    (sort + dedup) and run the sequential open-map bookkeeping over the
-//!    merged set.
+//!    (sort + dedup) and merge the result into the pair-sorted open
+//!    contacts.
 //!
-//! Every node's cell belongs to exactly one band, so the union of the shard
-//! buffers is exactly the candidate set the sequential scan produces; the
+//! The scan visits each pair of adjacent cells from exactly one of its two
+//! cells, and every grid row belongs to exactly one band, so the union of
+//! the shard buffers is exactly the pair set of the one-band scan; the
 //! sort + dedup in commit canonicalizes away both the workers' completion
-//! order and the duplicate candidates a wrapped grid table can produce.
-//! The committed `downs`/`ups` are therefore bit-identical to the
+//! order and the repeats a table with fewer than three cells on an axis can
+//! produce. The committed `downs`/`ups` are therefore bit-identical to the
 //! sequential path for every band count — which is why a run's thread count
 //! is *not* part of its cache key.
 
@@ -26,8 +28,9 @@ use std::sync::{mpsc, Mutex, RwLock};
 use std::thread;
 
 use crate::contacts::{ContactGenConfig, ContactStepper};
+use crate::stream::emit;
 use crate::trajectory::Trajectory;
-use dtn_sim::{Contact, ContactEvent, ContactSource, NodePair, SimTime};
+use dtn_sim::{Contact, ContactEvent, ContactSource, NodePair};
 
 /// A [`ContactSource`] that detects contacts with a pool of scanning
 /// threads, bit-identical to the single-threaded
@@ -47,8 +50,7 @@ pub struct ShardedContactSource {
 
 impl ShardedContactSource {
     /// Builds a source that samples `trajs` over `[0, duration)` with `cfg`,
-    /// scanning each step with `threads` workers (clamped to at least 1;
-    /// with 1 the sequential fast path runs with no pool at all).
+    /// scanning each step with `threads` workers (clamped to at least 1).
     ///
     /// # Panics
     /// Panics if `range` or `dt` is not positive.
@@ -76,27 +78,21 @@ impl ShardedContactSource {
     pub fn threads(&self) -> usize {
         self.threads
     }
+}
 
-    /// Single-threaded path: identical loop to `MobilityContactSource`.
-    fn next_window_seq(&mut self, until: f64, out: &mut Vec<ContactEvent>) {
-        let stepper = self.state.get_mut().expect("stepper lock poisoned");
-        while let Some(t) = stepper.next_time() {
-            if t >= until && until < self.duration {
-                break;
-            }
-            self.downs.clear();
-            self.ups.clear();
-            stepper
-                .step(&self.trajs, &mut self.downs, &mut self.ups)
-                .expect("next_time returned Some, step must advance");
-            emit(&self.downs, &self.ups, t, out);
-        }
+impl ContactSource for ShardedContactSource {
+    fn n_nodes(&self) -> u32 {
+        self.trajs.len() as u32
     }
 
-    /// Worker-pool path. A fresh scope per window keeps the source free of
-    /// lifetime plumbing; windows are ~60 s of simulated time (hundreds of
-    /// steps), so the spawn cost is noise.
-    fn next_window_sharded(&mut self, until: f64, out: &mut Vec<ContactEvent>) {
+    fn duration(&self) -> f64 {
+        self.duration
+    }
+
+    /// Runs the worker pool over one window. A fresh scope per window keeps
+    /// the source free of lifetime plumbing; windows are ~60 s of simulated
+    /// time (hundreds of steps), so the spawn cost is noise.
+    fn next_window(&mut self, until: f64, out: &mut Vec<ContactEvent>) {
         let n_shards = self.threads;
         let state = &self.state;
         let trajs = &self.trajs;
@@ -168,42 +164,6 @@ impl ShardedContactSource {
             // Dropping the job sender ends the workers' recv loops.
             drop(job_tx);
         });
-    }
-}
-
-/// Emits one committed step in the canonical order: closed contacts (sorted
-/// by `(start, pair)`) then opened pairs (sorted by pair) — identical to
-/// `MobilityContactSource`.
-fn emit(downs: &[Contact], ups: &[NodePair], t: f64, out: &mut Vec<ContactEvent>) {
-    for c in downs {
-        out.push(ContactEvent::Down {
-            pair: c.pair,
-            at: c.end,
-        });
-    }
-    for &pair in ups {
-        out.push(ContactEvent::Up {
-            pair,
-            at: SimTime::secs(t),
-        });
-    }
-}
-
-impl ContactSource for ShardedContactSource {
-    fn n_nodes(&self) -> u32 {
-        self.trajs.len() as u32
-    }
-
-    fn duration(&self) -> f64 {
-        self.duration
-    }
-
-    fn next_window(&mut self, until: f64, out: &mut Vec<ContactEvent>) {
-        if self.threads <= 1 {
-            self.next_window_seq(until, out);
-        } else {
-            self.next_window_sharded(until, out);
-        }
     }
 }
 

@@ -181,7 +181,8 @@ impl ScenarioSpec {
 
     /// Parses a CLI scenario argument: `paper`, `paper:n=<n>` (the city
     /// family at paper-like defaults), `city[:n=<n>][:d=<d>]`, `rwp` (alias
-    /// `random-waypoint`), or `trace:<path>`.
+    /// `random-waypoint`), or `trace:<path>`. A generated family needs at
+    /// least two nodes, whether they come from `n_nodes` or from `n=`.
     pub fn parse(s: &str, n_nodes: u32) -> Result<Self, String> {
         fn kv(part: &str, key: &str) -> Option<Result<u32, String>> {
             let v = part.strip_prefix(key)?.strip_prefix('=')?;
@@ -193,50 +194,47 @@ impl ScenarioSpec {
                  rwp, or trace:<path>)"
             )
         };
-        match s {
-            "paper" => return Ok(ScenarioSpec::paper(n_nodes)),
-            "rwp" | "random-waypoint" => return Ok(ScenarioSpec::rwp(n_nodes)),
-            "city" => return Ok(ScenarioSpec::city(n_nodes, Self::districts_for(n_nodes))),
-            _ => {}
-        }
-        match s.split_once(':') {
-            Some(("trace", path)) if !path.is_empty() => Ok(ScenarioSpec::trace_path(path)),
-            Some(("paper", rest)) => {
-                let n = kv(rest, "n").ok_or_else(bad)??;
-                if n < 2 {
-                    return Err("city scenario needs n >= 2".into());
+        let spec = match s {
+            "paper" => ScenarioSpec::paper(n_nodes),
+            "rwp" | "random-waypoint" => ScenarioSpec::rwp(n_nodes),
+            "city" => ScenarioSpec::city(n_nodes, Self::districts_for(n_nodes)),
+            _ => match s.split_once(':') {
+                Some(("trace", path)) if !path.is_empty() => ScenarioSpec::trace_path(path),
+                Some(("paper", rest)) => {
+                    let n = kv(rest, "n").ok_or_else(bad)??;
+                    ScenarioSpec::city(n, Self::districts_for(n))
                 }
-                Ok(ScenarioSpec::city(n, Self::districts_for(n)))
-            }
-            Some(("city", rest)) => {
-                let mut n = n_nodes;
-                let mut d = None;
-                let mut bpr = None;
-                for part in rest.split(':') {
-                    if let Some(v) = kv(part, "n") {
-                        n = v?;
-                    } else if let Some(v) = kv(part, "d") {
-                        d = Some(v?);
-                    } else if let Some(v) = kv(part, "bpr") {
-                        bpr = Some(v?);
-                    } else {
-                        return Err(bad());
+                Some(("city", rest)) => {
+                    let mut n = n_nodes;
+                    let mut d = None;
+                    let mut bpr = None;
+                    for part in rest.split(':') {
+                        if let Some(v) = kv(part, "n") {
+                            n = v?;
+                        } else if let Some(v) = kv(part, "d") {
+                            d = Some(v?);
+                        } else if let Some(v) = kv(part, "bpr") {
+                            bpr = Some(v?);
+                        } else {
+                            return Err(bad());
+                        }
                     }
+                    let d = d.unwrap_or_else(|| Self::districts_for(n));
+                    if d == 0 {
+                        return Err("city scenario needs d >= 1".into());
+                    }
+                    let bpr = bpr.unwrap_or_else(|| Self::bpr_for(n));
+                    if bpr == 0 {
+                        return Err("city scenario needs bpr >= 1".into());
+                    }
+                    ScenarioSpec::city_with_bpr(n, d, bpr)
                 }
-                if n < 2 {
-                    return Err("city scenario needs n >= 2".into());
-                }
-                let d = d.unwrap_or_else(|| Self::districts_for(n));
-                if d == 0 {
-                    return Err("city scenario needs d >= 1".into());
-                }
-                let bpr = bpr.unwrap_or_else(|| Self::bpr_for(n));
-                if bpr == 0 {
-                    return Err("city scenario needs bpr >= 1".into());
-                }
-                Ok(ScenarioSpec::city_with_bpr(n, d, bpr))
-            }
-            _ => Err(bad()),
+                _ => return Err(bad()),
+            },
+        };
+        match spec.declared_nodes() {
+            Some(n) if n < 2 => Err(format!("scenario `{s}` needs n >= 2 nodes, got {n}")),
+            _ => Ok(spec),
         }
     }
 
@@ -815,6 +813,27 @@ mod tests {
         }
         assert!(ScenarioSpec::parse("bogus", 8).is_err());
         assert!(ScenarioSpec::parse("trace:", 8).is_err());
+        // Every generated family rejects a node count below 2 by name; a
+        // trace ignores `n_nodes`.
+        for (family, n) in [
+            ("paper", 1),
+            ("rwp", 1),
+            ("random-waypoint", 0),
+            ("city", 1),
+        ] {
+            assert_eq!(
+                ScenarioSpec::parse(family, n).unwrap_err(),
+                format!("scenario `{family}` needs n >= 2 nodes, got {n}")
+            );
+        }
+        assert_eq!(
+            ScenarioSpec::parse("paper:n=1", 40).unwrap_err(),
+            "scenario `paper:n=1` needs n >= 2 nodes, got 1"
+        );
+        assert!(ScenarioSpec::parse("city:n=0:d=1", 40).is_err());
+        assert!(ScenarioSpec::parse("city:d=2", 1).is_err());
+        assert!(ScenarioSpec::parse("paper", 2).is_ok());
+        assert!(ScenarioSpec::parse("trace:foo.trace", 1).is_ok());
     }
 
     #[test]

@@ -62,19 +62,26 @@ impl ContactSource for MobilityContactSource {
             self.stepper
                 .step(&self.trajs, &mut self.downs, &mut self.ups)
                 .expect("next_time returned Some, step must advance");
-            for c in &self.downs {
-                out.push(ContactEvent::Down {
-                    pair: c.pair,
-                    at: c.end,
-                });
-            }
-            for &pair in &self.ups {
-                out.push(ContactEvent::Up {
-                    pair,
-                    at: SimTime::secs(t),
-                });
-            }
+            emit(&self.downs, &self.ups, t, out);
         }
+    }
+}
+
+/// Emits one step in the canonical order: the closed contacts (sorted by
+/// `(start, pair)`) then the opened pairs (sorted by pair), shared with
+/// [`crate::shard::ShardedContactSource`].
+pub(crate) fn emit(downs: &[Contact], ups: &[NodePair], t: f64, out: &mut Vec<ContactEvent>) {
+    for c in downs {
+        out.push(ContactEvent::Down {
+            pair: c.pair,
+            at: c.end,
+        });
+    }
+    for &pair in ups {
+        out.push(ContactEvent::Up {
+            pair,
+            at: SimTime::secs(t),
+        });
     }
 }
 

@@ -66,15 +66,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The grid detector and the brute-force reference produce identical
-    /// contact traces (same pairs, same intervals).
+    /// contact traces (same pairs, same intervals). Each axis of the 120 m
+    /// box is stretched by one of `STRETCH`, so the grid table also wraps —
+    /// on x, on y or on both, down to tables of one or two rows — and a node
+    /// pinned 3 m from node 0, on the diagonal so the pair straddles row and
+    /// column boundaries alike, keeps genuine contacts in every stretched
+    /// world.
     #[test]
     fn grid_matches_brute_force(
         trajs in proptest::collection::vec(trajectory_strategy(), 2..7),
+        stretch in (0usize..4, 0usize..4),
     ) {
+        const STRETCH: [f64; 4] = [1.0, 0.3, 1.0e3, 1.0e5];
+        let (sx, sy) = (STRETCH[stretch.0], STRETCH[stretch.1]);
+        let moved = |traj: &Trajectory, f: &dyn Fn(Point) -> Point| {
+            Trajectory::new(traj.points().iter().map(|&(t, p)| (t, f(p))).collect())
+        };
+        let mut trajs: Vec<Trajectory> = trajs
+            .iter()
+            .map(|traj| moved(traj, &|p| Point::new(p.x * sx, p.y * sy)))
+            .collect();
+        let pin = 3.0 / std::f64::consts::SQRT_2;
+        trajs.push(moved(&trajs[0], &|p| Point::new(p.x + pin, p.y + pin)));
         let duration = 40.0;
         let cfg = ContactGenConfig { range: 10.0, dt: 0.5 };
         let fast = generate_trace(&trajs, duration, cfg);
         let slow = brute_force(&trajs, duration, cfg);
+        prop_assert!(!slow.contacts.is_empty(), "the pinned pair must meet");
         prop_assert_eq!(fast.contacts.len(), slow.contacts.len());
         let key = |c: &Contact| (c.pair, c.start.as_secs().to_bits(), c.end.as_secs().to_bits());
         let mut a: Vec<_> = fast.contacts.iter().map(key).collect();
