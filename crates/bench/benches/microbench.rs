@@ -1,13 +1,13 @@
 //! Criterion microbenchmarks of the hot per-contact primitives:
 //! the Theorem 1/2 estimators, MI gossip merge, MEMD Dijkstra, contact
 //! detection (bulk and large-n incremental stepping), event-queue
-//! throughput (calendar vs. the heap reference) and raw engine throughput.
+//! throughput and raw engine throughput.
 
 use ce_core::{CommunityMap, ContactHistory, MemdSolver, MiMatrix};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dtn_mobility::scenario::ScenarioConfig;
 use dtn_mobility::{ContactStepper, ScenarioSpec};
-use dtn_sim::event::{EventKind, EventQueue, HeapEventQueue};
+use dtn_sim::event::{EventKind, EventQueue};
 use dtn_sim::observe::{EventLog, LatencyHistogramProbe, TimeSeriesProbe};
 use dtn_sim::{DrainMode, NodeId, NodePair, SimConfig, SimTime, Simulation, TrafficConfig};
 use std::hint::black_box;
@@ -238,14 +238,12 @@ fn bench_buffer_soa(c: &mut Criterion) {
     });
 }
 
-/// Push/pop throughput of the calendar [`EventQueue`] against the
-/// [`HeapEventQueue`] reference on a contact-shaped schedule: dense bursts
-/// of equal-time contact events (dt-step batches) interleaved with sparse
-/// non-contact events. This is exactly the distribution that degenerates a
-/// width estimator based on sampled gaps.
+/// Push/pop throughput of the [`EventQueue`] on a contact-shaped schedule:
+/// dense bursts of equal-time contact events (dt-step batches) interleaved
+/// with sparse non-contact events.
 fn bench_event_queue(c: &mut Criterion) {
     // ~100 events per 0.2 s step plus a sparse second band, pre-generated
-    // so both queues replay the identical schedule.
+    // so every iteration replays the identical schedule.
     let schedule: Vec<(SimTime, bool)> = (0..100_000u32)
         .map(|i| {
             let mut x = u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -258,26 +256,9 @@ fn bench_event_queue(c: &mut Criterion) {
         })
         .collect();
     let pair = NodePair::new(NodeId(0), NodeId(1));
-    c.bench_function("event_queue_calendar_100k_clustered", |b| {
+    c.bench_function("event_queue_100k_clustered", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
-            for &(t, contact) in &schedule {
-                if contact {
-                    q.push_contact(t, EventKind::ContactUp { pair });
-                } else {
-                    q.push(t, EventKind::TtlSweep);
-                }
-            }
-            let mut n = 0usize;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
-    c.bench_function("event_queue_heap_100k_clustered", |b| {
-        b.iter(|| {
-            let mut q = HeapEventQueue::new();
             for &(t, contact) in &schedule {
                 if contact {
                     q.push_contact(t, EventKind::ContactUp { pair });

@@ -39,9 +39,9 @@ const USAGE: &str = "usage: dtnrun [flags]
   --trace PATH         shorthand for --scenario trace:PATH
   --buffer BYTES       per-node buffer capacity (default 1 MB)
   --run-threads N      worker threads for the sharded contact scan on the
-                       streaming path (default auto: up to 8 for generated
-                       scenarios with >= 10000 nodes, else 1); results are
-                       bit-identical for every value
+                       streaming path (default 1: the scan runs on the
+                       simulation thread); results are bit-identical for
+                       every value
   --drain MODE         observer dispatch: inline (default) or ring[:CAP] to
                        fold probes on a companion thread through a bounded
                        ring of CAP batches (default 16); results are
@@ -86,7 +86,7 @@ struct Args {
     lambda: Option<u32>,
     alpha: Option<f64>,
     buffer: Option<u64>,
-    /// `None` = auto (parallel scan at n >= 10^4 on the streaming path).
+    /// `None` = one worker (no sharded scan pool).
     run_threads: Option<u32>,
     /// `Some(capacity)` = off-thread observer drain through a bounded ring.
     ring_drain: Option<usize>,

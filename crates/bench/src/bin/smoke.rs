@@ -97,56 +97,70 @@ fn main() {
         std::process::exit(2);
     });
 
-    let t0 = Instant::now();
+    let specs: Vec<RunSpec> = ProtocolKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let mut spec = RunSpec::on(kind.name(), scenario.clone(), ProtocolSpec::paper(kind))
+                .with_workload(workload.clone())
+                .with_probes(probes.clone());
+            if let Some(d) = duration {
+                spec = spec.with_duration(d);
+            }
+            if let Some(t) = run_threads {
+                spec = spec.with_run_threads(t);
+            }
+            if let Some(c) = ring_drain {
+                spec = spec.with_ring_drain(c);
+            }
+            spec
+        })
+        .collect();
+
     let cache = ScenarioCache::new();
-    let ps = match cache.try_get_spec(&scenario, &workload, seed, duration) {
-        Ok(ps) => ps,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-    let ts = ps.scenario.trace.stats();
-    eprintln!(
-        "scenario {scenario} workload {workload} seed={seed}: {} contacts \
-         (mean dur {:.2}s, mean intercontact {:.0}s), {} messages, built in {:?}",
-        ts.contacts,
-        ts.mean_duration,
-        ts.mean_intercontact,
-        ps.workload.len(),
-        t0.elapsed()
-    );
+    if specs.iter().all(RunSpec::streams) {
+        eprintln!(
+            "scenario {scenario} workload {workload} seed={seed}: streaming contact supply \
+             (the trace is never materialized)"
+        );
+    } else {
+        // The same cache resolves the scenario for the runs below, so this
+        // census costs no second build.
+        let t0 = Instant::now();
+        let ps = cache
+            .try_get_spec(&scenario, &workload, seed, duration)
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(1);
+            });
+        let ts = ps.scenario.trace.stats();
+        eprintln!(
+            "scenario {scenario} workload {workload} seed={seed}: {} contacts \
+             (mean dur {:.2}s, mean intercontact {:.0}s), {} messages, built in {:?}",
+            ts.contacts,
+            ts.mean_duration,
+            ts.mean_intercontact,
+            ps.workload.len(),
+            t0.elapsed()
+        );
+    }
 
     let store = resolve_store(store_dir.as_deref(), no_store);
     let mut report = ReportSpec::new(format!(
         "Smoke: every protocol on {scenario} ({workload} workload, seed {seed})"
     ));
-    for kind in ProtocolKind::ALL {
-        let proto = ProtocolSpec::paper(kind);
-        let mut spec = RunSpec::on(kind.name(), scenario.clone(), proto.clone())
-            .with_workload(workload.clone())
-            .with_probes(probes.clone());
-        if let Some(d) = duration {
-            spec = spec.with_duration(d);
-        }
-        if let Some(t) = run_threads {
-            spec = spec.with_run_threads(t);
-        }
-        if let Some(c) = ring_drain {
-            spec = spec.with_ring_drain(c);
-        }
+    for spec in &specs {
         let store = store.as_ref().filter(|_| spec.storable());
         let served = store.and_then(|s| s.serve(&spec.cell_key(seed).encoded(), seed));
         let cached = served.is_some();
         let t = Instant::now();
         let record = served.unwrap_or_else(|| {
-            let run = run_cell(&cache, &spec, seed).unwrap_or_else(|e| {
+            let run = run_cell(&cache, spec, seed).unwrap_or_else(|e| {
                 eprintln!("{e}");
                 std::process::exit(1);
             });
             let wall_s = t.elapsed().as_secs_f64();
             let record = RunRecord::capture_stream(
-                &spec,
+                spec,
                 run.n_nodes,
                 run.duration,
                 seed,
@@ -166,7 +180,7 @@ fn main() {
         println!(
             "{:<14} dr={:.3} lat={:>6.1} gp={:.4} relayed={:>6} dup={:>4} aborted={:>5} \
              drops(buf/ttl/proto)={}/{}/{} ctrl={:>8}KB  [{:.2?}]{}",
-            proto,
+            spec.protocol,
             stats.delivery_ratio(),
             stats.avg_latency(),
             stats.goodput(),

@@ -157,7 +157,7 @@ pub struct CommonArgs {
     /// [`SweepConfig`](crate::SweepConfig) default (available parallelism).
     pub threads: Option<usize>,
     /// Per-run contact-scan threads (`--run-threads`), forwarded to every
-    /// spec via [`CommonArgs::configure`]; `None` = auto.
+    /// spec via [`CommonArgs::configure`]; `None` = one worker.
     pub run_threads: Option<u32>,
     /// Observer drain (`--drain inline|ring[:CAP]`): `Some(capacity)`
     /// routes every run's probes through the off-thread ring drain,

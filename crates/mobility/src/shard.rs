@@ -190,7 +190,7 @@ mod tests {
     fn sharded_stream_is_bit_identical_to_sequential() {
         for cfg in [
             ScenarioConfig::small(12, 400.0),
-            ScenarioConfig::city(24, 4),
+            ScenarioConfig::city(24, 4).sized(1_500.0),
         ] {
             let sc = cfg.build(7);
             let mut seq =

@@ -3,23 +3,9 @@
 //! Events are ordered by time, with a monotone sequence number breaking ties
 //! so that equal-time events pop in scheduling (FIFO) order. This makes runs
 //! bit-for-bit reproducible regardless of queue internals or platform.
-//!
-//! ## Calendar queue
-//!
-//! [`EventQueue`] is a *calendar queue* (Brown 1988): a ring of buckets,
-//! each `width` seconds of simulated time wide, indexed by
-//! `floor(time / width) & mask`. Near-future events — the vast majority in a
-//! contact-driven simulation — land in the next few buckets, so push and pop
-//! are O(1) amortized instead of the binary heap's O(log n). The bucket
-//! count doubles/halves with occupancy and the width is recomputed from the
-//! exact time span of the live contents at each resize, so the queue adapts
-//! to the event density of the run. The earliest non-empty day is drained
-//! into a sorted *head run* and popped from the back, which makes dense
-//! equal-time clusters — dt-step contact batches schedule hundreds of
-//! events at the same timestamp — cost one sort per day instead of a
-//! bucket scan per pop. [`HeapEventQueue`] keeps the original `BinaryHeap`
-//! implementation as the ordering oracle for differential tests and
-//! benchmarks.
+//! [`EventQueue`] keeps them in a binary heap, so push and pop cost
+//! O(log n) in the pending events; the engine queues contacts at most one
+//! supply window ahead of the clock.
 //!
 //! ## Sequence bands
 //!
@@ -119,38 +105,17 @@ impl Ord for Scheduled {
     }
 }
 
-/// Initial (and minimum) bucket count; always a power of two.
-const MIN_BUCKETS: usize = 16;
-/// Bounds on the adaptive bucket width, in simulated seconds.
-const MIN_WIDTH: f64 = 1e-6;
-const MAX_WIDTH: f64 = 1e9;
-
-/// A time-ordered, FIFO-tie-broken calendar event queue.
+/// A time-ordered, FIFO-tie-broken event queue: a binary heap over
+/// `(time, seq)`.
 ///
-/// Same `(time, seq)` contract as the original heap-based queue (kept as
-/// [`HeapEventQueue`]): pops come in nondecreasing time order and, at equal
-/// times, in scheduling order within each sequence band — contacts
-/// ([`EventQueue::push_contact`]) before everything else ([`EventQueue::push`]).
+/// Pops come in nondecreasing time order and, at equal times, in scheduling
+/// order within each sequence band — contacts ([`EventQueue::push_contact`])
+/// before everything else ([`EventQueue::push`]).
 #[derive(Debug)]
 pub struct EventQueue {
-    buckets: Vec<Vec<Scheduled>>,
-    /// `buckets.len() - 1`; virtual bucket `vb` lives at index `vb & mask`.
-    mask: u64,
-    /// Width of one bucket in simulated seconds.
-    width: f64,
-    /// Lower bound on every queued event's time: the last popped time,
-    /// lowered if an event is ever scheduled below it.
-    floor: SimTime,
-    len: usize,
+    heap: BinaryHeap<Reverse<Scheduled>>,
     next_contact_seq: u64,
     next_other_seq: u64,
-    /// Virtual day whose entries currently live in `run` instead of their
-    /// physical bucket; `None` exactly when `run` is empty.
-    run_day: Option<u64>,
-    /// All queued entries of `run_day`, sorted descending by `(time, seq)`
-    /// so the minimum pops from the back in O(1). Same-day pushes binary-
-    /// insert to keep the order.
-    run: Vec<Scheduled>,
 }
 
 impl Default for EventQueue {
@@ -163,15 +128,9 @@ impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: vec![Vec::new(); MIN_BUCKETS],
-            mask: (MIN_BUCKETS - 1) as u64,
-            width: 1.0,
-            floor: SimTime::ZERO,
-            len: 0,
+            heap: BinaryHeap::new(),
             next_contact_seq: 0,
             next_other_seq: OTHER_SEQ_BASE,
-            run_day: None,
-            run: Vec::new(),
         }
     }
 
@@ -179,7 +138,7 @@ impl EventQueue {
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_other_seq;
         self.next_other_seq += 1;
-        self.insert(Scheduled { time, seq, kind });
+        self.heap.push(Reverse(Scheduled { time, seq, kind }));
     }
 
     /// Schedules a contact event at `time` in the contact band: at equal
@@ -197,242 +156,6 @@ impl EventQueue {
         let seq = self.next_contact_seq;
         self.next_contact_seq += 1;
         debug_assert!(seq < OTHER_SEQ_BASE, "contact sequence band exhausted");
-        self.insert(Scheduled { time, seq, kind });
-    }
-
-    /// Pops the earliest event; FIFO among equal times (per band).
-    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.run.is_empty() {
-            self.fill_run();
-        }
-        let s = self.run.pop().expect("fill_run yields at least one entry");
-        if self.run.is_empty() {
-            self.run_day = None;
-        }
-        self.len -= 1;
-        self.floor = s.time;
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            let target = self.buckets.len() / 2;
-            self.resize(target);
-        }
-        Some((s.time, s.kind))
-    }
-
-    /// Time of the earliest pending event. (Mutable because locating the
-    /// minimum pulls its day into the sorted head run, which the following
-    /// [`EventQueue::pop`] reuses.)
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.run.is_empty() {
-            self.fill_run();
-        }
-        self.run.last().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Virtual bucket (calendar "day") of `t`.
-    #[inline]
-    fn vb_of(&self, t: SimTime) -> u64 {
-        let s = t.as_secs();
-        if s <= 0.0 {
-            0
-        } else {
-            (s / self.width) as u64
-        }
-    }
-
-    fn insert(&mut self, s: Scheduled) {
-        if self.len >= 2 * self.buckets.len() {
-            let target = self.buckets.len() * 2;
-            self.resize(target);
-        }
-        if s.time < self.floor {
-            self.floor = s.time;
-        }
-        let day = self.vb_of(s.time);
-        match self.run_day {
-            // Head-day push: binary-insert into the descending run.
-            Some(d) if day == d => {
-                let idx = self.run.partition_point(|e| *e > s);
-                self.run.insert(idx, s);
-            }
-            // A day below the cached head appeared (engine never schedules
-            // into the past, so this is the rare API-allowed case): the run
-            // is no longer the front — return it to its bucket.
-            Some(d) if day < d => {
-                self.spill_run();
-                let b = (day & self.mask) as usize;
-                self.buckets[b].push(s);
-            }
-            _ => {
-                let b = (day & self.mask) as usize;
-                self.buckets[b].push(s);
-            }
-        }
-        self.len += 1;
-    }
-
-    /// Locates the earliest non-empty virtual day and drains all its entries
-    /// from the physical bucket into `run`, sorted descending by
-    /// `(time, seq)`, so the next pops come from the back in O(1).
-    ///
-    /// Scan virtual days upward from the floor's day: every queued entry
-    /// has `time >= floor`, all entries sharing a day share one bucket, and
-    /// any entry of a *later* day is strictly later in time than every entry
-    /// of the current day — so the first day with a matching entry contains
-    /// the global minimum. If a whole lap of the ring finds nothing (sparse
-    /// far-future tail), fall back to a direct scan for the earliest entry.
-    fn fill_run(&mut self) {
-        debug_assert!(self.len > 0 && self.run.is_empty());
-        let nb = self.buckets.len() as u64;
-        let first = self.vb_of(self.floor);
-        let mut day = None;
-        for vb in first..first + nb {
-            let b = (vb & self.mask) as usize;
-            if self.buckets[b].iter().any(|s| self.vb_of(s.time) == vb) {
-                day = Some(vb);
-                break;
-            }
-        }
-        let day = day.unwrap_or_else(|| {
-            self.buckets
-                .iter()
-                .flatten()
-                .map(|s| self.vb_of(s.time))
-                .min()
-                .expect("len > 0")
-        });
-        // `width` copied out so the drain can borrow the bucket mutably
-        // while pushing into `run` (disjoint fields).
-        let width = self.width;
-        let vb_of = |t: SimTime| -> u64 {
-            let secs = t.as_secs();
-            if secs <= 0.0 {
-                0
-            } else {
-                (secs / width) as u64
-            }
-        };
-        let bucket = &mut self.buckets[(day & self.mask) as usize];
-        let mut i = 0;
-        while i < bucket.len() {
-            if vb_of(bucket[i].time) == day {
-                self.run.push(bucket.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        self.run.sort_unstable_by(|a, b| b.cmp(a));
-        self.run_day = Some(day);
-        debug_assert!(!self.run.is_empty());
-    }
-
-    /// Returns the head run's entries to their physical bucket (before a
-    /// resize, or when a push lands below the cached head day).
-    fn spill_run(&mut self) {
-        if let Some(d) = self.run_day.take() {
-            let b = (d & self.mask) as usize;
-            self.buckets[b].append(&mut self.run);
-        }
-    }
-
-    /// Rebuilds the ring with `new_nb` buckets and a freshly estimated
-    /// width. O(len + buckets); amortized free under doubling/halving.
-    fn resize(&mut self, new_nb: usize) {
-        self.spill_run();
-        let new_width = self.estimate_width();
-        let mut all: Vec<Scheduled> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.append(b);
-        }
-        self.buckets = vec![Vec::new(); new_nb];
-        self.mask = (new_nb - 1) as u64;
-        self.width = new_width;
-        for s in all {
-            let b = (self.vb_of(s.time) & self.mask) as usize;
-            self.buckets[b].push(s);
-        }
-    }
-
-    /// Chooses a bucket width from the live contents: the exact time span
-    /// divided so that on average two entries share a day
-    /// (`width = 2 * span / len`). The O(len) pass is free inside `resize`'s
-    /// O(len) rebuild. Unlike inter-event gap sampling, the span cannot be
-    /// fooled by dense equal-time clusters (dt-step contact batches schedule
-    /// hundreds of events at one timestamp): ties shrink the width until
-    /// each timestamp gets its own day, keeping `fill_run`'s drain small.
-    /// Keeps the current width when degenerate (< 2 entries, zero span).
-    fn estimate_width(&self) -> f64 {
-        debug_assert!(self.run.is_empty(), "estimate after spill_run");
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for s in self.buckets.iter().flatten() {
-            let t = s.time.as_secs();
-            min = min.min(t);
-            max = max.max(t);
-        }
-        let span = max - min;
-        if self.len < 2 || !span.is_finite() || span <= 0.0 {
-            return self.width;
-        }
-        (2.0 * span / self.len as f64).clamp(MIN_WIDTH, MAX_WIDTH)
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue, kept as the ordering
-/// *reference implementation*: differential tests
-/// (`tests/event_queue_equivalence.rs`) and the queue microbenches drive it
-/// side by side with the calendar [`EventQueue`] to pin the shared
-/// `(time, seq)` FIFO contract.
-#[derive(Debug)]
-pub struct HeapEventQueue {
-    heap: BinaryHeap<Reverse<Scheduled>>,
-    next_contact_seq: u64,
-    next_other_seq: u64,
-}
-
-impl Default for HeapEventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HeapEventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            next_contact_seq: 0,
-            next_other_seq: OTHER_SEQ_BASE,
-        }
-    }
-
-    /// Schedules `kind` at `time` in the non-contact band.
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_other_seq;
-        self.next_other_seq += 1;
-        self.heap.push(Reverse(Scheduled { time, seq, kind }));
-    }
-
-    /// Schedules a contact event at `time` in the contact band (see
-    /// [`EventQueue::push_contact`]).
-    pub fn push_contact(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_contact_seq;
-        self.next_contact_seq += 1;
         self.heap.push(Reverse(Scheduled { time, seq, kind }));
     }
 
@@ -514,53 +237,8 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, EventKind::End);
     }
 
-    /// Deterministic mixed workload across resizes: the calendar queue must
-    /// reproduce the heap reference pop-for-pop.
-    #[test]
-    fn calendar_matches_heap_on_mixed_schedule() {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let pair = NodePair::new(NodeId(0), NodeId(1));
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut lcg = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        for i in 0..20_000u32 {
-            let r = lcg();
-            // Cluster times heavily so equal-time ties are common.
-            let t = SimTime::secs((r % 997) as f64 * 0.37);
-            match r % 5 {
-                0 | 1 => {
-                    cal.push(t, EventKind::MessageCreate { spec_idx: i });
-                    heap.push(t, EventKind::MessageCreate { spec_idx: i });
-                }
-                2 => {
-                    cal.push_contact(t, EventKind::ContactUp { pair });
-                    heap.push_contact(t, EventKind::ContactUp { pair });
-                }
-                3 => {
-                    cal.push_contact(t, EventKind::ContactDown { pair });
-                    heap.push_contact(t, EventKind::ContactDown { pair });
-                }
-                _ => {
-                    assert_eq!(cal.peek_time(), heap.peek_time(), "peek at op {i}");
-                    assert_eq!(cal.pop(), heap.pop(), "pop at op {i}");
-                }
-            }
-            assert_eq!(cal.len(), heap.len());
-        }
-        // Drain through the shrink path.
-        while let Some(expect) = heap.pop() {
-            assert_eq!(cal.pop(), Some(expect));
-        }
-        assert!(cal.pop().is_none());
-    }
-
-    /// An event scheduled below the current floor (never done by the engine,
-    /// but allowed by the API) must still pop first.
+    /// An event scheduled before the last popped time (never done by the
+    /// engine, but allowed by the API) must still pop first.
     #[test]
     fn past_schedule_still_pops_in_order() {
         let mut q = EventQueue::new();
@@ -572,7 +250,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().0, SimTime::secs(100.0));
     }
 
-    /// Far-future sparse tail: pops must survive an empty lap of the ring.
+    /// A sparse far-future tail pops in time order.
     #[test]
     fn sparse_far_future_events_pop_correctly() {
         let mut q = EventQueue::new();
