@@ -800,14 +800,16 @@ impl ProtocolSpec {
 impl fmt::Display for ProtocolSpec {
     /// Canonical grammar form: the family name plus every non-default
     /// parameter, so the printed spec parses back to an equal value
-    /// (`ProtocolSpec::parse ∘ Display` = identity).
+    /// (`ProtocolSpec::parse ∘ Display` = identity). Width and alignment
+    /// apply to the whole spec (`{:<14}` pads it as one column).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.kind().key())?;
+        let key = self.kind().key();
         let params = self.non_default_params();
-        if !params.is_empty() {
-            write!(f, ":{}", params.join(","))?;
+        if params.is_empty() {
+            f.pad(key)
+        } else {
+            f.pad(&format!("{key}:{}", params.join(",")))
         }
-        Ok(())
     }
 }
 
@@ -993,6 +995,17 @@ mod tests {
         let shown = format!("{tuned}");
         assert_eq!(shown, "eer:lambda=8,emd=mean,ttl=3600");
         assert_eq!(ProtocolSpec::parse(&shown).unwrap(), tuned);
+    }
+
+    /// `smoke` prints the spec in a `{:<14}` column.
+    #[test]
+    fn display_honours_width_and_alignment() {
+        let eer = ProtocolSpec::paper(ProtocolKind::Eer);
+        assert_eq!(format!("{eer:<14}|"), "eer           |");
+        assert_eq!(format!("{eer:>5}"), "  eer");
+        let tuned = ProtocolSpec::parse("maxprop:hops=2").unwrap();
+        assert_eq!(format!("{tuned:<16}|"), "maxprop:hops=2  |");
+        assert_eq!(format!("{tuned:<4}"), "maxprop:hops=2", "never truncated");
     }
 
     #[test]

@@ -12,16 +12,41 @@
 //!    delivered messages from buffers; the eviction policy drops
 //!    highest-cost, most-travelled messages first.
 //!
-//! Simplification vs. the original (documented in DESIGN.md): the adaptive
-//! hop-count threshold (derived from average transfer opportunity) is a
-//! fixed configurable constant.
+//! Simplification vs. the original: the adaptive hop-count threshold
+//! (derived from average transfer opportunity) is a fixed configurable
+//! constant.
+//!
+//! # State layout
+//!
+//! A likelihood vector is one immutable version: a node's `n` meeting
+//! probabilities behind an [`Arc`], stamped with the time it was published.
+//! Each node holds
+//!
+//! - its own vector, copy-on-write: a meeting re-normalises it in place, or
+//!   into a new version while another node still holds the current one;
+//! - one slot per node with the freshest version it has heard of, and that
+//!   version's stamp. Flooding adopts a fresher version by cloning the
+//!   pointer, so every node holding a version shares one copy of it;
+//! - the slots as they were at the last cost refresh, with the own vector in
+//!   its own slot, and the destination costs solved from them. The solve
+//!   runs only when a decision reads a cost, at most once per refresh: a
+//!   transfer pick with no offerable message below the hop threshold, an
+//!   eviction ranking a message at or above it, or [`MaxProp::cost_to`];
+//! - the delivered-message ids as a bitset over the dense [`MessageId`]s,
+//!   with a running count.
+//!
+//! Per node that is `n` slots and stamps, `n` refresh-time slots and `n`
+//! costs, plus the versions it shares with the rest of the network.
 
-use crate::util::control_size;
+use crate::util::{control_size, deliver_forward};
 use dtn_sim::{
-    Buffer, ContactCtx, Message, MessageId, NodeCtx, NodeId, Router, SimTime, TransferPlan,
+    Buffer, BufferEntry, ContactCtx, Message, MessageId, NodeCtx, NodeId, Router, SimTime,
+    TransferPlan,
 };
 use std::any::Any;
-use std::collections::HashSet;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// MaxProp parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,8 +54,12 @@ pub struct MaxPropConfig {
     /// Messages with fewer hops than this are prioritised by hop count and
     /// protected from eviction.
     pub hop_threshold: u32,
-    /// Seconds for which the Dijkstra cost vector is reused before being
-    /// recomputed (performance knob; likelihoods drift slowly).
+    /// Seconds a cost refresh stands: the first contact more than this long
+    /// after the last refresh captures the likelihood vectors the node knows
+    /// at that moment, and costs are solved from those vectors until the
+    /// next refresh. This is part of the model, not a performance knob: it
+    /// decides which vectors transmission priorities and evictions see, so
+    /// results depend on it.
     pub cost_refresh: f64,
 }
 
@@ -43,24 +72,89 @@ impl Default for MaxPropConfig {
     }
 }
 
+/// One likelihood-vector version: a node's meeting probabilities towards
+/// every node, shared by all its holders.
+type Likelihoods = Arc<[f64]>;
+
+/// Delivered-message ids: a bitset over the dense [`MessageId`]s and the
+/// number of ids set.
+#[derive(Clone, Debug, Default)]
+struct Acks {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl Acks {
+    #[inline]
+    fn contains(&self, id: MessageId) -> bool {
+        self.words
+            .get(id.idx() / 64)
+            .is_some_and(|w| w & (1 << (id.idx() % 64)) != 0)
+    }
+
+    fn insert(&mut self, id: MessageId) {
+        let (k, bit) = (id.idx() / 64, 1u64 << (id.idx() % 64));
+        if k >= self.words.len() {
+            self.words.resize(k + 1, 0);
+        }
+        if self.words[k] & bit == 0 {
+            self.words[k] |= bit;
+            self.len += 1;
+        }
+    }
+
+    /// Adds every id of `other`.
+    fn union_with(&mut self, other: &Acks) {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            self.len += (o & !*w).count_ones() as usize;
+            *w |= o;
+        }
+    }
+}
+
+/// A path cost ordered by `total_cmp`, for the solve's heap.
+#[derive(PartialEq)]
+struct Dist(f64);
+
+impl Eq for Dist {}
+
+impl PartialOrd for Dist {
+    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+        Some(self.cmp(o))
+    }
+}
+
+impl Ord for Dist {
+    fn cmp(&self, o: &Self) -> Ordering {
+        self.0.total_cmp(&o.0)
+    }
+}
+
 /// MaxProp router.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MaxProp {
     me: NodeId,
-    n: usize,
     cfg: MaxPropConfig,
     /// Own meeting-probability vector (normalised to sum 1).
-    f: Vec<f64>,
-    /// Latest known probability vector of every node, row-major `n × n`
-    /// (flat to avoid per-row allocations); `est_time[i]` is row `i`'s
-    /// freshness, `-1` = unknown.
-    est: Vec<f64>,
+    f: Likelihoods,
+    /// Freshest known vector of every node (`None` = unknown) and its stamp
+    /// (`-1` = unknown).
+    est: Vec<Option<Likelihoods>>,
     est_time: Vec<f64>,
+    /// `est` as of the last refresh, own vector included: the rows the
+    /// costs are solved from.
+    snap: Vec<Option<Likelihoods>>,
+    /// Whether `cost` is still to be solved from `snap`.
+    solve_pending: bool,
     /// Delivered-message ids learned so far (flooded acks).
-    acked: HashSet<MessageId>,
-    /// Cost-to-destination cache and when it was computed (`-∞` = never).
+    acked: Acks,
+    /// Cost to every destination as last solved (∞ = unreachable or not
+    /// solved yet).
     cost: Vec<f64>,
-    cost_valid: bool,
+    /// When the last refresh happened (`-∞` = never).
     cost_time: f64,
 }
 
@@ -78,21 +172,16 @@ impl MaxProp {
         f[me.idx()] = 0.0;
         MaxProp {
             me,
-            n,
             cfg,
-            f: f.clone(),
-            est: vec![0.0; n * n],
+            f: f.into(),
+            est: vec![None; n],
             est_time: vec![-1.0; n],
-            acked: HashSet::new(),
+            snap: Vec::new(),
+            solve_pending: false,
+            acked: Acks::default(),
             cost: vec![f64::INFINITY; n],
-            cost_valid: false,
             cost_time: f64::NEG_INFINITY,
         }
-    }
-
-    /// The ids this node knows to be delivered.
-    pub fn acked(&self) -> &HashSet<MessageId> {
-        &self.acked
     }
 
     /// Own meeting probability towards `peer`.
@@ -102,85 +191,107 @@ impl MaxProp {
 
     /// Incremental averaging: bump the peer's slot by 1 and re-normalise.
     fn bump(&mut self, peer: NodeId) {
-        self.f[peer.idx()] += 1.0;
-        let sum: f64 = self.f.iter().sum();
+        let f = Arc::make_mut(&mut self.f);
+        f[peer.idx()] += 1.0;
+        let sum: f64 = f.iter().sum();
         if sum > 0.0 {
-            for v in &mut self.f {
+            for v in f.iter_mut() {
                 *v /= sum;
             }
         }
     }
 
-    /// Dijkstra over the likelihood graph: cost of edge `u → v` is
-    /// `1 − p_u(v)` using the latest known vector of `u`.
-    fn recompute_costs(&mut self, now: SimTime) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        #[derive(PartialEq)]
-        struct K(f64);
-        impl Eq for K {}
-        impl PartialOrd for K {
-            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(o))
+    /// Likelihood flooding: adopts every vector `peer_router` knows fresher,
+    /// including the peer's own (always freshest for itself, stamped `now`).
+    fn adopt_fresher(&mut self, peer: NodeId, peer_router: &MaxProp, now: f64) {
+        for (i, (mine, &theirs)) in self
+            .est_time
+            .iter_mut()
+            .zip(&peer_router.est_time)
+            .enumerate()
+        {
+            // An unknown vector (stamp −1) is never fresher.
+            if theirs > *mine && i != peer.idx() {
+                self.est[i].clone_from(&peer_router.est[i]);
+                *mine = theirs;
             }
         }
-        impl Ord for K {
-            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                self.0.total_cmp(&o.0)
-            }
+        if now > self.est_time[peer.idx()] {
+            self.est[peer.idx()] = Some(Arc::clone(&peer_router.f));
+            self.est_time[peer.idx()] = now;
         }
+    }
 
-        let me_lo = self.me.idx() * self.n;
-        self.est[me_lo..me_lo + self.n].copy_from_slice(&self.f);
-        self.est_time[self.me.idx()] = now.as_secs();
-        for c in &mut self.cost {
-            *c = f64::INFINITY;
+    /// Captures the rows the next cost solve reads: the own vector into its
+    /// slot, then every slot.
+    fn refresh(&mut self, now: f64) {
+        self.est[self.me.idx()] = Some(Arc::clone(&self.f));
+        self.est_time[self.me.idx()] = now;
+        self.snap.clone_from(&self.est);
+        self.solve_pending = true;
+        self.cost_time = now;
+    }
+
+    /// Dijkstra over the likelihood graph of the last refresh: the cost of
+    /// edge `u → v` is `1 − p_u(v)` under `u`'s vector as it was then. Runs
+    /// at most once per refresh.
+    fn solve_costs(&mut self) {
+        if !self.solve_pending {
+            return;
         }
+        self.solve_pending = false;
+        self.cost.fill(f64::INFINITY);
         self.cost[self.me.idx()] = 0.0;
         let mut heap = BinaryHeap::new();
-        heap.push(Reverse((K(0.0), self.me.0)));
-        let mut visited = vec![false; self.n];
-        while let Some(Reverse((K(d), u))) = heap.pop() {
+        heap.push(Reverse((Dist(0.0), self.me.0)));
+        let mut visited = vec![false; self.cost.len()];
+        while let Some(Reverse((Dist(d), u))) = heap.pop() {
             let ui = u as usize;
             if visited[ui] {
                 continue;
             }
             visited[ui] = true;
-            let vec_u: &[f64] = if ui == self.me.idx() {
-                &self.f
-            } else if self.est_time[ui] >= 0.0 {
-                &self.est[ui * self.n..(ui + 1) * self.n]
-            } else {
+            let Some(vec_u) = &self.snap[ui] else {
                 continue; // no likelihood info about u's links
             };
-            for (v, &p) in vec_u.iter().enumerate().take(self.n) {
+            for (v, &p) in vec_u.iter().enumerate() {
                 if v == ui {
                     continue;
                 }
                 let nd = d + (1.0 - p);
                 if nd < self.cost[v] {
                     self.cost[v] = nd;
-                    heap.push(Reverse((K(nd), v as u32)));
+                    heap.push(Reverse((Dist(nd), v as u32)));
                 }
             }
         }
-        self.cost_valid = true;
     }
 
-    /// Cost to `dst` (∞ when unknown).
-    pub fn cost_to(&self, dst: NodeId) -> f64 {
+    /// Cost to `dst` (∞ when unknown), solved from the rows of the last
+    /// refresh.
+    pub fn cost_to(&mut self, dst: NodeId) -> f64 {
+        self.solve_costs();
         self.cost[dst.idx()]
     }
 
     /// Priority key: lower sorts earlier in transmission order.
-    fn priority(&self, hops: u32, dst: NodeId) -> (u32, f64) {
-        if hops < self.cfg.hop_threshold {
-            (hops, 0.0)
+    fn priority(&self, e: &BufferEntry) -> (u32, f64) {
+        if e.hops < self.cfg.hop_threshold {
+            (e.hops, 0.0)
         } else {
-            (u32::MAX, self.cost[dst.idx()])
+            (u32::MAX, self.cost[e.msg.dst.idx()])
         }
     }
+}
+
+/// Transmission order of two priority keys.
+fn cmp_priority(a: (u32, f64), b: (u32, f64)) -> Ordering {
+    a.0.cmp(&b.0).then(a.1.total_cmp(&b.1))
+}
+
+/// Whether `e` may be offered to the peer and is not known delivered.
+fn offerable(ctx: &ContactCtx<'_>, acked: &Acks, e: &BufferEntry) -> bool {
+    ctx.can_offer(e.msg.id) && !acked.contains(e.msg.id)
 }
 
 impl Router for MaxProp {
@@ -198,67 +309,55 @@ impl Router for MaxProp {
             .downcast_mut::<MaxProp>()
             .expect("all nodes run MaxProp");
         self.bump(ctx.peer);
-
-        // Likelihood flooding: adopt fresher vectors known to the peer,
-        // including the peer's own (which is always freshest for itself).
         let now = ctx.now.as_secs();
-        for i in 0..self.n {
-            let (src, peer_time): (&[f64], f64) = if i == ctx.peer.idx() {
-                (&peer_router.f, now)
-            } else if peer_router.est_time[i] >= 0.0 {
-                (
-                    &peer_router.est[i * self.n..(i + 1) * self.n],
-                    peer_router.est_time[i],
-                )
-            } else {
-                continue;
-            };
-            if peer_time > self.est_time[i] {
-                self.est[i * self.n..(i + 1) * self.n].copy_from_slice(src);
-                self.est_time[i] = peer_time;
-            }
-        }
+        self.adopt_fresher(ctx.peer, peer_router, now);
         // Ack merge and purge of known-delivered messages.
-        for id in &peer_router.acked {
-            self.acked.insert(*id);
-        }
-        let to_purge: Vec<MessageId> = ctx
-            .buf
-            .iter()
-            .filter(|e| self.acked.contains(&e.msg.id))
-            .map(|e| e.msg.id)
-            .collect();
-        ctx.purge.extend(to_purge);
-
-        if ctx.now.as_secs() - self.cost_time > self.cfg.cost_refresh {
-            self.recompute_costs(ctx.now);
-            self.cost_time = ctx.now.as_secs();
+        self.acked.union_with(&peer_router.acked);
+        ctx.purge.extend(
+            ctx.buf
+                .iter()
+                .filter(|e| self.acked.contains(e.msg.id))
+                .map(|e| e.msg.id),
+        );
+        if now - self.cost_time > self.cfg.cost_refresh {
+            self.refresh(now);
         }
         // Vectors + ack ids exchanged.
-        ctx.control_bytes(control_size(self.n + self.acked.len()));
+        ctx.control_bytes(control_size(self.est.len() + self.acked.len));
     }
 
     fn pick_transfer(&mut self, ctx: &mut ContactCtx<'_>) -> Option<TransferPlan> {
         // Deliverables first; delivery also generates an ack (in on_sent).
-        if let Some(e) = ctx
-            .buf
-            .iter()
-            .find(|e| e.msg.dst == ctx.peer && !ctx.sent.contains(&e.msg.id))
-        {
-            return Some(TransferPlan::forward(e.msg.id));
+        if let Some(plan) = deliver_forward(ctx) {
+            return Some(plan);
         }
-        if !self.cost_valid {
+        if self.cost_time == f64::NEG_INFINITY {
+            return None; // no refresh yet: deliveries only
+        }
+        // Lowest priority key first among offerable, un-acked messages. A
+        // message below the hop threshold sorts before every other one and
+        // ties keep the first, so while one is on offer the pick is the
+        // first with the fewest hops, and no cost is read.
+        let mut fresh: Option<(u32, MessageId)> = None;
+        let mut travelled = false;
+        for e in ctx.buf.iter().filter(|e| offerable(ctx, &self.acked, e)) {
+            if e.hops >= self.cfg.hop_threshold {
+                travelled = true;
+            } else if fresh.is_none_or(|(hops, _)| e.hops < hops) {
+                fresh = Some((e.hops, e.msg.id));
+            }
+        }
+        if let Some((_, id)) = fresh {
+            return Some(TransferPlan::copy(id));
+        }
+        if !travelled {
             return None;
         }
-        // Lowest priority key first among offerable, un-acked messages.
+        self.solve_costs();
         ctx.buf
             .iter()
-            .filter(|e| ctx.can_offer(e.msg.id) && !self.acked.contains(&e.msg.id))
-            .min_by(|a, b| {
-                let ka = self.priority(a.hops, a.msg.dst);
-                let kb = self.priority(b.hops, b.msg.dst);
-                ka.0.cmp(&kb.0).then(ka.1.total_cmp(&kb.1))
-            })
+            .filter(|e| offerable(ctx, &self.acked, e))
+            .min_by(|a, b| cmp_priority(self.priority(a), self.priority(b)))
             .map(|e| TransferPlan::copy(e.msg.id))
     }
 
@@ -288,14 +387,14 @@ impl Router for MaxProp {
     /// MaxProp eviction: highest-cost, most-travelled messages go first;
     /// fresh low-hop messages are protected longest.
     fn select_drops(&mut self, buf: &Buffer, incoming: &Message, _now: SimTime) -> Vec<MessageId> {
-        let mut entries: Vec<(dtn_sim::BufferEntry, (u32, f64))> = buf
-            .iter()
-            .filter(|e| e.msg.id != incoming.id)
-            .map(|e| (e, self.priority(e.hops, e.msg.dst)))
-            .collect();
+        let mut entries: Vec<BufferEntry> =
+            buf.iter().filter(|e| e.msg.id != incoming.id).collect();
+        if entries.iter().any(|e| e.hops >= self.cfg.hop_threshold) {
+            self.solve_costs();
+        }
         // Reverse priority: worst (highest key) first.
-        entries.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(b.1 .1.total_cmp(&a.1 .1)));
-        entries.into_iter().map(|(e, _)| e.msg.id).collect()
+        entries.sort_by(|a, b| cmp_priority(self.priority(b), self.priority(a)));
+        entries.into_iter().map(|e| e.msg.id).collect()
     }
 }
 
@@ -329,6 +428,28 @@ mod tests {
         r.bump(NodeId(1));
         r.bump(NodeId(2));
         assert!(r.meeting_probability(NodeId(2)) > r.meeting_probability(NodeId(1)));
+    }
+
+    /// The running count is the number of distinct ids, however they
+    /// arrive: `control_size(n + acked)` reads it.
+    #[test]
+    fn acks_count_each_id_once() {
+        let mut a = Acks::default();
+        a.insert(MessageId(3));
+        a.insert(MessageId(3));
+        a.insert(MessageId(130));
+        let mut b = Acks::default();
+        b.insert(MessageId(3));
+        b.insert(MessageId(64));
+        a.union_with(&b);
+        a.union_with(&b);
+        assert_eq!(a.len, 3);
+        let ids: Vec<u32> = (0..200).filter(|&k| a.contains(MessageId(k))).collect();
+        assert_eq!(ids, vec![3, 64, 130]);
+        assert!(
+            !Acks::default().contains(MessageId(7)),
+            "past the last word"
+        );
     }
 
     #[test]

@@ -1,54 +1,12 @@
 //! Property-based tests across the baseline protocols: no valid trace or
 //! workload may break protocol-level invariants.
 
+mod common;
+
+use common::trace_and_workload;
 use dtn_routing::*;
 use dtn_sim::prelude::*;
 use proptest::prelude::*;
-
-fn trace_and_workload() -> impl Strategy<Value = (ContactTrace, Vec<MessageSpec>)> {
-    (
-        4u32..9,
-        proptest::collection::vec((any::<u16>(), any::<u16>(), 1u16..120, 1u16..40), 1..50),
-    )
-        .prop_flat_map(|(n, raw)| {
-            let mut cursor: std::collections::HashMap<(u32, u32), f64> = Default::default();
-            let mut contacts = Vec::new();
-            for (xa, xb, gap, dur) in raw {
-                let a = u32::from(xa) % n;
-                let b = u32::from(xb) % n;
-                if a == b {
-                    continue;
-                }
-                let key = (a.min(b), a.max(b));
-                let start = cursor.get(&key).copied().unwrap_or(0.0) + f64::from(gap);
-                let end = start + f64::from(dur);
-                cursor.insert(key, end);
-                contacts.push(Contact::new(key.0, key.1, start, end));
-            }
-            let horizon = contacts.iter().map(|c| c.end.as_secs()).fold(0.0, f64::max) + 5.0;
-            let trace = ContactTrace::new(n, horizon, contacts);
-            let wl = proptest::collection::vec(
-                (any::<u16>(), any::<u16>(), 0u16..1000, 60u32..2000),
-                0..15,
-            )
-            .prop_map(move |raw| {
-                raw.into_iter()
-                    .filter_map(|(xs, xd, frac, ttl)| {
-                        let src = u32::from(xs) % n;
-                        let dst = u32::from(xd) % n;
-                        (src != dst).then(|| MessageSpec {
-                            create_at: SimTime::secs(horizon * f64::from(frac) / 1000.0),
-                            src: NodeId(src),
-                            dst: NodeId(dst),
-                            size: 500,
-                            ttl: f64::from(ttl),
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            });
-            (Just(trace), wl)
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -56,7 +14,7 @@ proptest! {
     /// Spray-and-Wait with λ=k relays at most (k-1) spray hops plus one
     /// delivery per replica for each message — a hard quota ceiling.
     #[test]
-    fn spray_relays_bounded_by_quota((trace, wl) in trace_and_workload(), lambda in 1u32..9) {
+    fn spray_relays_bounded_by_quota((trace, wl) in trace_and_workload(50, 15), lambda in 1u32..9) {
         let created = wl.len() as u64;
         let stats = Simulation::new(&trace, wl, SimConfig::paper(0), |_, _| {
             Box::new(SprayAndWait::new(lambda))
@@ -75,7 +33,7 @@ proptest! {
 
     /// EBR shares the quota ceiling (it only ever splits or delivers).
     #[test]
-    fn ebr_relays_bounded_by_quota((trace, wl) in trace_and_workload()) {
+    fn ebr_relays_bounded_by_quota((trace, wl) in trace_and_workload(50, 15)) {
         let created = wl.len() as u64;
         let stats = Simulation::new(&trace, wl, SimConfig::paper(0), |_, _| {
             Box::new(Ebr::new(8))
@@ -88,7 +46,7 @@ proptest! {
     /// (checked behaviourally: delivery/goodput invariants hold and the run
     /// never panics the debug asserts inside the engine).
     #[test]
-    fn prophet_runs_clean((trace, wl) in trace_and_workload()) {
+    fn prophet_runs_clean((trace, wl) in trace_and_workload(50, 15)) {
         let stats = Simulation::new(&trace, wl, SimConfig::paper(0), |id, n| {
             Box::new(Prophet::new(id, n))
         })
@@ -101,7 +59,7 @@ proptest! {
     /// messages under MaxProp is identical whether or not duplicates occur,
     /// and delivered ≤ epidemic's delivered on the same trace.
     #[test]
-    fn maxprop_bounded_by_epidemic((trace, wl) in trace_and_workload()) {
+    fn maxprop_bounded_by_epidemic((trace, wl) in trace_and_workload(50, 15)) {
         let mp = Simulation::new(&trace, wl.clone(), SimConfig::paper(0), |id, n| {
             Box::new(MaxProp::new(id, n))
         })
