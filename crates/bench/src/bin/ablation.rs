@@ -1,5 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out — every named
-//! ablation is *data*: a grid of `(label, protocol-spec)` pairs in the same
+//! Ablation studies of the reproduction's design choices, each listed
+//! below — every named ablation is *data*: a grid of `(label, protocol-spec)` pairs in the same
 //! `--protocol` grammar the binaries accept, swept through the shared
 //! runner. There are no per-ablation protocol branches; adding an ablation
 //! is adding rows to [`ABLATIONS`].

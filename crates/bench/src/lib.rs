@@ -1,8 +1,9 @@
 //! # dtn-bench — the experiment harness
 //!
 //! Regenerates every figure of the ICPP'11 contact-expectation paper plus
-//! the ablations listed in DESIGN.md, and sweeps arbitrary scenario
-//! families beyond the paper's bus-city. The harness
+//! the named ablations (the `ablation` binary's module doc lists each of
+//! them), and sweeps arbitrary scenario families beyond the paper's
+//! bus-city. The harness
 //!
 //! * runs every `(spec, seed)` cell through one function,
 //!   [`runner::run_cell`]: a generated scenario of at least 2 000 nodes

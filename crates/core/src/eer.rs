@@ -21,9 +21,13 @@
 //!   link frees up; messages arriving mid-contact wait for the next contact.
 //! * A peer that *is* the destination receives custody of all replicas
 //!   immediately (delivery short-circuit).
-//! * EEVs for equal residual-TTL horizons are cached per contact (the
-//!   workload gives every message the same TTL, so this collapses many
-//!   evaluations).
+//! * Estimates are cached for [`EerConfig::refresh`] seconds: the MEMD
+//!   vector is re-solved at most once per window, and EEVs are kept per
+//!   `(τ, time)` bucket. EEV horizons are rounded up to multiples of
+//!   [`EEV_TAU_QUANTUM`] seconds, so messages with similar residual TTLs
+//!   share a bucket (the workload gives every message the same TTL, so this
+//!   collapses many evaluations). `crates/core/tests/estimator_consistency.rs`
+//!   checks that both approximations leave the protocol's semantics intact.
 
 use crate::history::{ContactHistory, DEFAULT_WINDOW};
 use crate::memd::MemdSolver;

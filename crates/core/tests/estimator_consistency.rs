@@ -1,6 +1,7 @@
 //! Cross-checks between the cached/fast paths used inside the routers and
-//! the plain estimator definitions — the approximations documented in
-//! DESIGN.md must degrade gracefully, not change semantics.
+//! the plain estimator definitions — the refresh caches and the EEV horizon
+//! quantisation described in the "Implementation notes" of
+//! `crates/core/src/eer.rs` must degrade gracefully, not change semantics.
 
 use ce_core::{Eer, EerConfig, MemdSolver, MiMatrix};
 use dtn_mobility::scenario::ScenarioConfig;

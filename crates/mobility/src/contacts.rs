@@ -1,24 +1,40 @@
 //! Contact detection from trajectories.
 //!
 //! Positions are sampled every `dt` seconds; nodes within `range` metres are
-//! in contact. Each step bins the positions into a reused flat counting-sort
-//! grid whose cell side is `range`, so two nodes in range always sit in the
-//! same or in adjacent (wrapped) table cells. The build computes each node's
-//! wrapped table cell once; the pair scan then visits every pair of adjacent
-//! cells from one side only — a cell with itself, with its east neighbour and
-//! with the three cells below it — and applies the exact distance test to
-//! each candidate, with no integer division and no hashing. A step costs
-//! O(n) for the sparse densities of vehicular scenarios and allocates nothing
-//! in steady state.
+//! in contact. [`ContactStepper`] keeps a Verlet neighbour list: every
+//! `K`-th step (a *rebuild*) bins the positions into a reused flat
+//! counting-sort grid whose cell side is `reach`, so two nodes within
+//! `reach` always sit in the same or in adjacent (wrapped) table cells, and
+//! lists every pair within `reach`. Every step tests only the listed pairs
+//! against `range`.
 //!
-//! Open contacts are a pair-sorted list. Each step merges it with the step's
-//! sorted, deduplicated in-range pairs: a pair only in the list has closed, a
-//! pair only in the step has opened. [`ContactStepper`] exposes the detector
-//! one sampling step at a time, emitting opened and closed contacts — which
-//! is what lets contact supply stream into the engine window-by-window (see
-//! [`crate::stream`]) instead of materializing a whole-horizon trace.
-//! [`generate_trace`] drives the same stepper to completion when a
-//! materialized [`ContactTrace`] is wanted.
+//! The list is exact. Both numbers come from `v_max`, the largest
+//! [`Trajectory::max_speed`] of the set: two nodes close in by at most
+//! `2·v_max·dt` per step, so with `reach = range + 2·v_max·(K−1)·dt + slack`
+//! a pair that was more than `reach` apart at a rebuild cannot come within
+//! `range` before the next one. `K = min(8, 1 + ⌊4·range / (2·v_max·dt)⌋)`
+//! keeps the skin within four ranges; a trajectory that jumps has
+//! `v_max = ∞`, so `K = 1` and the list is rebuilt at every step. The
+//! `slack`, `1e-9` of the largest coordinate plus 1 mm, absorbs the rounding
+//! of interpolated positions. Every step therefore finds exactly the
+//! in-range pairs a test of all pairs would.
+//!
+//! A rebuild computes each node's wrapped table cell once; the pair scan
+//! then visits every pair of adjacent cells from one side only — a cell
+//! with itself, with its east neighbour and with the three cells below it —
+//! with no integer division and no hashing, and sorts the pairs it finds
+//! into the list. A step costs O(n + list) for the sparse densities of
+//! vehicular scenarios and allocates nothing in steady state.
+//!
+//! Open contacts are a pair-sorted list. Each step merges it with the
+//! listed pairs in range, which are pair-sorted as the list is: a pair only
+//! in the open list has closed, a pair only in the step has opened.
+//! [`ContactStepper`] exposes the detector one sampling step at a time,
+//! emitting opened and closed contacts — which is what lets contact supply
+//! stream into the engine window-by-window (see [`crate::stream`]) instead
+//! of materializing a whole-horizon trace. [`generate_trace`] drives the
+//! same stepper to completion when a materialized [`ContactTrace`] is
+//! wanted.
 
 use crate::geometry::Point;
 use crate::trajectory::{Trajectory, TrajectoryCursor};
@@ -157,19 +173,57 @@ fn table_shape(need_cols: usize, need_rows: usize, cap: usize) -> (usize, usize)
     }
 }
 
+/// The longest rebuild period `K` of the neighbour list, in steps. At the
+/// paper's bus speeds both limits of `K` agree: 8 steps give a 39 m skin,
+/// just under four ranges.
+const MAX_REBUILD_PERIOD: u64 = 8;
+
+/// The rebuild period `K` and the list radius `reach` for `trajs` (see the
+/// module doc): `v_max` is the largest [`Trajectory::max_speed`], and the
+/// slack scales with the largest breakpoint coordinate, which bounds every
+/// interpolated position.
+fn neighbour_list_shape(trajs: &[Trajectory], cfg: ContactGenConfig) -> (u64, f64) {
+    let (mut v_max, mut extent) = (0.0f64, 0.0f64);
+    for traj in trajs {
+        v_max = v_max.max(traj.max_speed());
+        for &(_, p) in traj.points() {
+            let far = p.x.abs().max(p.y.abs());
+            // A compare, not `f64::max`, keeps the loop free of NaN
+            // handling: this pass runs in every stream build.
+            if far > extent {
+                extent = far;
+            }
+        }
+    }
+    // How much closer two nodes can get in one step. At `v_max = 0` the
+    // quotient is infinite and the period is the cap; at `v_max = ∞` it is 0
+    // and the period is 1, whose skin is empty (not `∞ · 0`).
+    let closing = 2.0 * v_max * cfg.dt;
+    let period = (1.0 + (4.0 * cfg.range / closing).floor()).min(MAX_REBUILD_PERIOD as f64) as u64;
+    let skin = if period > 1 {
+        closing * (period - 1) as f64
+    } else {
+        0.0
+    };
+    let reach = cfg.range + skin;
+    (period, reach + 1e-9 * (extent + reach) + 1e-3)
+}
+
 /// Incremental, windowed contact detector over a fixed trajectory set.
 ///
 /// Owns all scratch state — per-trajectory cursor positions, the flat
-/// spatial grid, the pair-sorted list of open contacts and its merge
-/// target — so that a steady-state [`ContactStepper::step`] performs zero
-/// heap allocations once buffers are warm. A step runs in three phases:
-/// `prepare_step` samples the positions and rebuilds the grid, `scan_band`
-/// collects the in-range pairs of a band of grid rows, and `commit_step`
-/// merges them into the open contacts. [`ContactStepper::step`] runs the
-/// three with one band; [`crate::shard`] runs the scan on a worker pool.
-/// [`generate_trace`] drives the stepper to completion for the materialized
-/// path; [`crate::stream::MobilityContactSource`] drives it window-by-window
-/// so a run never holds the whole-horizon contact process in memory.
+/// spatial grid, the neighbour list, the pair-sorted list of open contacts
+/// and its merge target — so that a steady-state [`ContactStepper::step`]
+/// performs zero heap allocations once buffers are warm. A step runs in
+/// three phases: `prepare_step` samples the positions and, on a rebuild
+/// step, rebuilds the grid; `scan_band` collects the pairs within `reach`
+/// of a band of grid rows; and `commit_step` installs them as the list on a
+/// rebuild step, then merges the listed pairs in range into the open
+/// contacts. [`ContactStepper::step`] runs the three with one band;
+/// [`crate::shard`] runs the scan on a worker pool. [`generate_trace`]
+/// drives the stepper to completion for the materialized path;
+/// [`crate::stream::MobilityContactSource`] drives it window-by-window so a
+/// run never holds the whole-horizon contact process in memory.
 #[derive(Debug)]
 pub struct ContactStepper {
     cfg: ContactGenConfig,
@@ -177,34 +231,46 @@ pub struct ContactStepper {
     steps: u64,
     step: u64,
     finalized: bool,
+    /// Steps from one neighbour-list rebuild to the next (`K`).
+    period: u64,
+    /// The list radius: `range`, the skin and the float slack.
+    reach: f64,
     /// Per-trajectory monotone cursor state ([`TrajectoryCursor::seg`]).
     segs: Vec<usize>,
     positions: Vec<Point>,
     grid: FlatGrid,
+    /// The pairs within `reach` at the last rebuild, sorted by pair.
+    neighbours: Vec<NodePair>,
     /// Open contacts `(pair, start time)`, sorted by pair.
     open: Vec<(NodePair, f64)>,
     /// The merge target of the next commit; swapped with `open` after it.
     next_open: Vec<(NodePair, f64)>,
-    /// In-range pairs of the current step, for [`ContactStepper::step`].
+    /// Pairs within `reach` of a rebuild step, for [`ContactStepper::step`].
     candidates: Vec<NodePair>,
 }
 
 impl ContactStepper {
-    /// Creates a stepper for `n` trajectories over `[0, duration)`.
+    /// Creates a stepper for `trajs` over `[0, duration)`, with the
+    /// neighbour list's rebuild period and radius derived from their speeds.
     ///
     /// # Panics
     /// Panics if `range` or `dt` is not positive.
-    pub fn new(n: usize, duration: f64, cfg: ContactGenConfig) -> Self {
+    pub fn new(trajs: &[Trajectory], duration: f64, cfg: ContactGenConfig) -> Self {
         assert!(cfg.range > 0.0 && cfg.dt > 0.0);
+        let n = trajs.len();
+        let (period, reach) = neighbour_list_shape(trajs, cfg);
         ContactStepper {
             cfg,
             duration,
             steps: (duration / cfg.dt).ceil() as u64,
             step: 0,
             finalized: false,
+            period,
+            reach,
             segs: vec![0; n],
             positions: vec![Point::default(); n],
             grid: FlatGrid::default(),
+            neighbours: Vec::new(),
             open: Vec::new(),
             next_open: Vec::new(),
             candidates: Vec::new(),
@@ -230,8 +296,8 @@ impl ContactStepper {
     /// `t = duration` — closes every still-open contact. Returns the
     /// processed timestamp, or `None` once the horizon has been finalized.
     ///
-    /// `trajs` must be the slice whose length was given to
-    /// [`ContactStepper::new`], unchanged across calls.
+    /// `trajs` must be the slice given to [`ContactStepper::new`], unchanged
+    /// across calls.
     pub fn step(
         &mut self,
         trajs: &[Trajectory],
@@ -249,14 +315,21 @@ impl ContactStepper {
         t
     }
 
+    /// Whether the current step rebuilds the neighbour list.
+    #[inline]
+    fn rebuilds(&self) -> bool {
+        self.step.is_multiple_of(self.period)
+    }
+
     /// Phase 1 of a step: advances every trajectory cursor to the next
-    /// sampling instant and rebuilds the grid, without touching the open
-    /// contacts or the step counter.
+    /// sampling instant and, on a rebuild step, rebuilds the grid, without
+    /// touching the open contacts or the step counter.
     ///
-    /// Returns `None` once the horizon has been finalized, `Some(false)` when
-    /// the next step is the horizon close-out (nothing to scan — go straight
-    /// to [`ContactStepper::commit_step`]), and `Some(true)` when positions
-    /// and grid are ready for [`ContactStepper::scan_band`].
+    /// Returns `None` once the horizon has been finalized, `Some(true)` on a
+    /// rebuild step, when the grid is ready for
+    /// [`ContactStepper::scan_band`], and `Some(false)` otherwise — between
+    /// rebuilds and at the horizon close-out there is nothing to scan, so go
+    /// straight to [`ContactStepper::commit_step`].
     pub(crate) fn prepare_step(&mut self, trajs: &[Trajectory]) -> Option<bool> {
         assert_eq!(trajs.len(), self.segs.len(), "trajectory set changed");
         if self.finalized {
@@ -271,14 +344,17 @@ impl ContactStepper {
             self.positions[i] = cur.position_at(t);
             self.segs[i] = cur.seg();
         }
-        self.grid.build(&self.positions, self.cfg.range);
-        Some(true)
+        let rebuild = self.rebuilds();
+        if rebuild {
+            self.grid.build(&self.positions, self.reach);
+        }
+        Some(rebuild)
     }
 
-    /// Phase 2 of a step: scans band `band` of `n_bands` horizontal bands of
-    /// grid rows, pushing every in-range pair found from a cell of the band.
-    /// Read-only, so any number of workers can scan disjoint bands of one
-    /// prepared step concurrently.
+    /// Phase 2 of a rebuild step: scans band `band` of `n_bands` horizontal
+    /// bands of grid rows, pushing every pair within `reach` found from a
+    /// cell of the band. Read-only, so any number of workers can scan
+    /// disjoint bands of one prepared step concurrently.
     ///
     /// Each table cell is scanned against itself, its east neighbour and the
     /// three cells of the row below (all wrapped), skipping a neighbour that
@@ -294,9 +370,9 @@ impl ContactStepper {
     pub(crate) fn scan_band(&self, band: usize, n_bands: usize, out: &mut Vec<NodePair>) {
         let grid = &self.grid;
         let (cols, rows, starts) = (grid.cols, grid.rows, &grid.starts);
-        let range_sq = self.cfg.range * self.cfg.range;
+        let reach_sq = self.reach * self.reach;
         let test = |a: usize, b: usize, out: &mut Vec<NodePair>| {
-            if grid.points[a].dist_sq(grid.points[b]) <= range_sq {
+            if grid.points[a].dist_sq(grid.points[b]) <= reach_sq {
                 out.push(NodePair::new(NodeId(grid.items[a]), NodeId(grid.items[b])));
             }
         };
@@ -347,15 +423,17 @@ impl ContactStepper {
         }
     }
 
-    /// Phase 3 of a step: merges the in-range pairs the bands found into the
-    /// open contacts and emits `downs` sorted by `(start, pair)` and `ups`
-    /// sorted by pair. Also handles the horizon close-out step (when
-    /// [`ContactStepper::prepare_step`] returned `Some(false)` the candidate
-    /// list is ignored). Returns the processed timestamp.
+    /// Phase 3 of a step: on a rebuild step installs the pairs the bands
+    /// found as the neighbour list, then merges the listed pairs in range
+    /// into the open contacts and emits `downs` sorted by `(start, pair)`
+    /// and `ups` sorted by pair. Also handles the horizon close-out step.
+    /// `candidates` is read only when [`ContactStepper::prepare_step`]
+    /// returned `Some(true)`. Returns the processed timestamp.
     ///
-    /// `candidates` is sorted and deduplicated in place; the candidate *set*
-    /// — not its order — determines the outcome, so the band count and the
-    /// workers' completion order can never change the result.
+    /// On a rebuild step `candidates` is sorted and deduplicated, then
+    /// swapped with the previous list, which it holds on return; the
+    /// candidate *set* — not its order — determines the outcome, so the band
+    /// count and the workers' completion order can never change the result.
     pub(crate) fn commit_step(
         &mut self,
         candidates: &mut Vec<NodePair>,
@@ -378,15 +456,24 @@ impl ContactStepper {
             end
         } else {
             let t = self.step as f64 * self.cfg.dt;
-            // The key orders pairs as `NodePair`'s `Ord` does, in one compare.
-            candidates.sort_unstable_by_key(|p| (u64::from(p.a.0) << 32) | u64::from(p.b.0));
-            candidates.dedup();
+            if self.rebuilds() {
+                // The key orders pairs as `NodePair`'s `Ord` does, in one
+                // compare.
+                candidates.sort_unstable_by_key(|p| (u64::from(p.a.0) << 32) | u64::from(p.b.0));
+                candidates.dedup();
+                std::mem::swap(&mut self.neighbours, candidates);
+            }
+            let range_sq = self.cfg.range * self.cfg.range;
+            let positions = &self.positions;
+            let in_range = self.neighbours.iter().filter(|p| {
+                positions[p.a.0 as usize].dist_sq(positions[p.b.0 as usize]) <= range_sq
+            });
             // Both lists are pair-sorted: a pair only in `open` has closed,
-            // one only in `candidates` has opened — in pair order, so the
-            // ups need no sort.
+            // one only in range has opened — in pair order, so the ups need
+            // no sort.
             self.next_open.clear();
             let mut open = self.open.iter().peekable();
-            for &pair in candidates.iter() {
+            for &pair in in_range {
                 while let Some(&gone) = open.next_if(|o| o.0 < pair) {
                     downs.push(closed(gone, t));
                 }
@@ -413,7 +500,7 @@ impl ContactStepper {
 /// # Panics
 /// Panics if `range` or `dt` is not positive.
 pub fn generate_trace(trajs: &[Trajectory], duration: f64, cfg: ContactGenConfig) -> ContactTrace {
-    let mut stepper = ContactStepper::new(trajs.len(), duration, cfg);
+    let mut stepper = ContactStepper::new(trajs, duration, cfg);
     let mut contacts = Vec::new();
     let mut ups = Vec::new();
     while stepper.step(trajs, &mut contacts, &mut ups).is_some() {
@@ -554,6 +641,43 @@ mod tests {
         }
     }
 
+    /// The rebuild period and the list radius follow the speed bound: the
+    /// paper's buses rebuild every 8 steps, a fast or jumping node every
+    /// step with no skin, a parked set every 8 steps with no skin.
+    #[test]
+    fn neighbour_list_shape_follows_the_speed_bound() {
+        let cfg = ContactGenConfig::default();
+        let drive = |v: f64| {
+            Trajectory::new(vec![
+                (0.0, Point::new(0.0, 0.0)),
+                (10.0, Point::new(10.0 * v, 0.0)),
+            ])
+        };
+        let parked = Trajectory::stationary(Point::new(0.0, 0.0));
+        let jump = Trajectory::new(vec![
+            (0.0, Point::new(0.0, 0.0)),
+            (0.0, Point::new(100.0, 0.0)),
+        ]);
+        let shape = |trajs: &[Trajectory]| neighbour_list_shape(trajs, cfg);
+        let (k, reach) = shape(&[parked.clone(), drive(13.9)]);
+        assert_eq!(k, 8);
+        assert!(
+            (reach - (10.0 + 2.0 * 13.9 * 0.2 * 7.0)).abs() < 2e-3,
+            "{reach}"
+        );
+        // 4·range / (2·v·dt) = 2.5: the skin stays within four ranges.
+        assert_eq!(shape(&[drive(40.0)]).0, 3);
+        for (trajs, want) in [
+            (vec![parked.clone()], 8),
+            (vec![drive(1_700.0)], 1),
+            (vec![parked, jump], 1),
+        ] {
+            let (k, reach) = shape(&trajs);
+            assert_eq!(k, want);
+            assert!(reach > 10.0 && reach < 10.002, "{reach}");
+        }
+    }
+
     /// The stepper emits per-step ups/downs consistent with the trace, and
     /// finalizes exactly once.
     #[test]
@@ -566,7 +690,7 @@ mod tests {
         let trajs = [a, b];
         let trace = generate_trace(&trajs, 60.0, ContactGenConfig::default());
 
-        let mut stepper = ContactStepper::new(2, 60.0, ContactGenConfig::default());
+        let mut stepper = ContactStepper::new(&trajs, 60.0, ContactGenConfig::default());
         let mut downs = Vec::new();
         let mut ups = Vec::new();
         let mut n_ups = 0;
@@ -584,39 +708,48 @@ mod tests {
     }
 
     /// Band partition ownership: for any band count, the union of the bands'
-    /// candidates equals the brute-force in-range pair set — no pair missed,
-    /// none owned by two bands (in a world small enough not to wrap the grid
-    /// table).
+    /// candidates equals the brute-force set of pairs within the stepper's
+    /// `reach` — no pair missed, none owned by two bands (in a world small
+    /// enough not to wrap the grid table).
     #[test]
     fn band_scan_owns_every_pair_exactly_once() {
         // A lattice spread across many grid rows, with pairs deliberately
-        // straddling row boundaries (cell size == range == 10).
+        // straddling row boundaries, drifting east at 1 m/s: the skin makes
+        // `reach` about 12.8 m, so pairs 12 m apart are listed though out of
+        // range.
         let mut trajs = Vec::new();
         for r in 0..7 {
             for c in 0..8 {
-                trajs.push(Trajectory::stationary(Point::new(
-                    c as f64 * 6.0,
-                    r as f64 * 9.5,
-                )));
+                let p = Point::new(c as f64 * 6.0, r as f64 * 9.5);
+                trajs.push(Trajectory::new(vec![
+                    (0.0, p),
+                    (10.0, Point::new(p.x + 10.0, p.y)),
+                ]));
             }
         }
         let cfg = ContactGenConfig::default();
-        let range_sq = cfg.range * cfg.range;
+        let probe = ContactStepper::new(&trajs, 10.0, cfg);
+        assert_eq!(probe.period, 8);
+        assert!(probe.reach > 12.5 && probe.reach < 13.0, "{}", probe.reach);
+        let reach_sq = probe.reach * probe.reach;
 
         let mut brute: Vec<NodePair> = Vec::new();
+        let mut out_of_range = 0;
         for i in 0..trajs.len() {
             for j in i + 1..trajs.len() {
                 let (pi, pj) = (trajs[i].points()[0].1, trajs[j].points()[0].1);
-                if pi.dist_sq(pj) <= range_sq {
+                if pi.dist_sq(pj) <= reach_sq {
                     brute.push(NodePair::new(NodeId(i as u32), NodeId(j as u32)));
+                    out_of_range += usize::from(pi.dist_sq(pj) > cfg.range * cfg.range);
                 }
             }
         }
         brute.sort_unstable();
         assert!(brute.len() > 20, "lattice should be well connected");
+        assert!(out_of_range > 0, "the skin should list pairs out of range");
 
         for n_bands in [1usize, 2, 3, 5, 8] {
-            let mut stepper = ContactStepper::new(trajs.len(), 10.0, cfg);
+            let mut stepper = ContactStepper::new(&trajs, 10.0, cfg);
             assert_eq!(stepper.prepare_step(&trajs), Some(true));
             let mut union = Vec::new();
             for band in 0..n_bands {
@@ -648,10 +781,10 @@ mod tests {
         }
         let cfg = ContactGenConfig::default();
 
-        let mut seq = ContactStepper::new(trajs.len(), 30.0, cfg);
+        let mut seq = ContactStepper::new(&trajs, 30.0, cfg);
         let mut seq_downs = Vec::new();
         let mut seq_ups = Vec::new();
-        let mut phased = ContactStepper::new(trajs.len(), 30.0, cfg);
+        let mut phased = ContactStepper::new(&trajs, 30.0, cfg);
         let mut ph_downs = Vec::new();
         let mut ph_ups = Vec::new();
         let mut cands = Vec::new();

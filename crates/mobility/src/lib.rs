@@ -10,8 +10,9 @@
 //!   vehicular map-driven model);
 //! * [`rwp`] — random waypoint, as a memoryless baseline;
 //! * [`trajectory`] — piecewise-linear trajectories shared by all models;
-//! * [`contacts`] — flat-grid contact detection, incremental
-//!   ([`ContactStepper`]) or producing a whole [`dtn_sim::ContactTrace`];
+//! * [`contacts`] — contact detection on a neighbour list rebuilt from a
+//!   flat grid, incremental ([`ContactStepper`]) or producing a whole
+//!   [`dtn_sim::ContactTrace`];
 //! * [`stream`] — [`MobilityContactSource`], the streaming
 //!   [`dtn_sim::ContactSource`] that feeds the engine window-by-window;
 //! * [`shard`] — [`ShardedContactSource`], the same stream scanned by a

@@ -2,27 +2,31 @@
 //!
 //! [`ShardedContactSource`] is a drop-in replacement for
 //! [`MobilityContactSource`](crate::stream::MobilityContactSource) that
-//! splits each sampling step's pair scan across a worker pool. A step runs
-//! in three phases on one shared [`ContactStepper`] — the phases its own
+//! splits the pair scan of each neighbour-list rebuild (see
+//! [`crate::contacts`]) across a worker pool. A step runs in three phases
+//! on one shared [`ContactStepper`] — the phases its own
 //! [`ContactStepper::step`] runs with a single band:
 //!
 //! 1. **prepare** (coordinator, write lock): advance every trajectory cursor
-//!    and rebuild the spatial grid;
-//! 2. **scan** (workers, read lock): each worker scans a horizontal band of
-//!    grid rows, pushing the in-range pairs of every cell pair scanned from
-//!    a cell in the band into a per-shard buffer;
-//! 3. **commit** (coordinator, write lock): merge the shard buffers
-//!    (sort + dedup) and merge the result into the pair-sorted open
-//!    contacts.
+//!    and, on a rebuild step, rebuild the spatial grid;
+//! 2. **scan** (workers, read lock, rebuild steps only): each worker scans a
+//!    horizontal band of grid rows, pushing the pairs within `reach` of
+//!    every cell pair scanned from a cell in the band into a per-shard
+//!    buffer;
+//! 3. **commit** (coordinator, write lock): on a rebuild step, merge the
+//!    shard buffers (sort + dedup) into the neighbour list; then merge the
+//!    listed pairs in range into the pair-sorted open contacts.
 //!
-//! The scan visits each pair of adjacent cells from exactly one of its two
-//! cells, and every grid row belongs to exactly one band, so the union of
-//! the shard buffers is exactly the pair set of the one-band scan; the
-//! sort + dedup in commit canonicalizes away both the workers' completion
-//! order and the repeats a table with fewer than three cells on an axis can
-//! produce. The committed `downs`/`ups` are therefore bit-identical to the
-//! sequential path for every band count — which is why a run's thread count
-//! is *not* part of its cache key.
+//! Between rebuilds there is nothing to scan, so the pool fans out only on
+//! rebuild steps, once every `K` steps. The scan visits each pair of
+//! adjacent cells from exactly one of its two cells, and every grid row
+//! belongs to exactly one band, so the union of the shard buffers is exactly
+//! the pair set of the one-band scan; the sort + dedup in commit
+//! canonicalizes away both the workers' completion order and the repeats a
+//! table with fewer than three cells on an axis can produce. The committed
+//! `downs`/`ups` are therefore bit-identical to the sequential path for
+//! every band count — which is why a run's thread count is *not* part of
+//! its cache key.
 
 use std::sync::{mpsc, Mutex, RwLock};
 use std::thread;
@@ -60,7 +64,7 @@ impl ShardedContactSource {
         cfg: ContactGenConfig,
         threads: usize,
     ) -> Self {
-        let stepper = ContactStepper::new(trajs.len(), duration, cfg);
+        let stepper = ContactStepper::new(&trajs, duration, cfg);
         let threads = threads.max(1);
         ShardedContactSource {
             trajs,

@@ -32,7 +32,7 @@ impl MobilityContactSource {
     /// # Panics
     /// Panics if `range` or `dt` is not positive.
     pub fn new(trajs: Vec<Trajectory>, duration: f64, cfg: ContactGenConfig) -> Self {
-        let stepper = ContactStepper::new(trajs.len(), duration, cfg);
+        let stepper = ContactStepper::new(&trajs, duration, cfg);
         MobilityContactSource {
             trajs,
             stepper,

@@ -55,13 +55,25 @@ impl Trajectory {
         self.points.last().unwrap().0
     }
 
-    /// Maximum speed over all segments, m/s.
+    /// Maximum speed over all segments, m/s: an upper bound on how far the
+    /// node moves per second, which the contact stepper's neighbour list
+    /// relies on. A pause (two breakpoints at one point) has speed 0 whatever
+    /// its duration; a jump (two breakpoints at one time, at different
+    /// points) has speed `f64::INFINITY`.
     pub fn max_speed(&self) -> f64 {
-        self.points
-            .windows(2)
-            .filter(|w| w[1].0 > w[0].0)
-            .map(|w| w[0].1.dist(w[1].1) / (w[1].0 - w[0].0))
-            .fold(0.0, f64::max)
+        // Squared speeds, so a segment costs no square root.
+        let mut max_sq = 0.0;
+        for w in self.points.windows(2) {
+            let d_sq = w[0].1.dist_sq(w[1].1);
+            if d_sq > 0.0 {
+                let dt = w[1].0 - w[0].0;
+                let v_sq = d_sq / (dt * dt);
+                if v_sq > max_sq {
+                    max_sq = v_sq;
+                }
+            }
+        }
+        f64::sqrt(max_sq)
     }
 }
 
@@ -194,6 +206,25 @@ mod tests {
         let t = traj();
         assert!((t.max_speed() - 1.0).abs() < 1e-12);
         assert_eq!(t.end_time(), 20.0);
+    }
+
+    /// A zero-duration segment between two points is a jump at infinite
+    /// speed; one at a single point is a pause, like the timed one.
+    #[test]
+    fn max_speed_is_infinite_for_a_jump() {
+        let jump = Trajectory::new(vec![
+            (0.0, Point::new(0.0, 0.0)),
+            (5.0, Point::new(10.0, 0.0)),
+            (5.0, Point::new(40.0, 0.0)),
+            (9.0, Point::new(40.0, 0.0)),
+        ]);
+        assert_eq!(jump.max_speed(), f64::INFINITY);
+        let still = Trajectory::new(vec![
+            (0.0, Point::new(0.0, 0.0)),
+            (5.0, Point::new(10.0, 0.0)),
+            (5.0, Point::new(10.0, 0.0)),
+        ]);
+        assert_eq!(still.max_speed(), 2.0);
     }
 
     #[test]

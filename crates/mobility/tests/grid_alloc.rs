@@ -56,7 +56,7 @@ fn steady_state_step_allocates_nothing() {
     let b = Trajectory::new(pts);
     let trajs = [a, b, c];
 
-    let mut stepper = ContactStepper::new(3, t, ContactGenConfig::default());
+    let mut stepper = ContactStepper::new(&trajs, t, ContactGenConfig::default());
     let mut downs = Vec::with_capacity(16);
     let mut ups = Vec::with_capacity(16);
 

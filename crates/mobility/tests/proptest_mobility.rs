@@ -1,11 +1,16 @@
 //! Property-based tests of the mobility substrate: trajectory sampling and,
-//! crucially, that the spatial-grid contact detector agrees with a
-//! brute-force O(n²) reference.
+//! crucially, that the contact stepper's neighbour list agrees with a
+//! brute-force O(n²) reference. The fast trajectories of the first
+//! proptests rebuild the list at every step; the slow ones, the head-on
+//! ladder and the jumping node check the steps between rebuilds.
 
 use dtn_mobility::contacts::{generate_trace, ContactGenConfig};
 use dtn_mobility::geometry::Point;
 use dtn_mobility::trajectory::{Trajectory, TrajectoryCursor};
-use dtn_sim::{Contact, ContactTrace, NodeId, NodePair};
+use dtn_mobility::{MobilityContactSource, ShardedContactSource};
+use dtn_sim::{
+    Contact, ContactEvent, ContactSource, ContactTrace, NodeId, NodePair, TraceReplaySource,
+};
 use proptest::prelude::*;
 
 /// Strategy: a piecewise-linear trajectory inside a box.
@@ -21,6 +26,73 @@ fn trajectory_strategy() -> impl Strategy<Value = Trajectory> {
             Trajectory::new(pts)
         },
     )
+}
+
+/// Strategy: a trajectory inside a 60 m box whose legs move at 0.5–15 m/s
+/// (the paper's buses top out at 13.9 m/s), some followed by a pause. Slow
+/// enough that the stepper rebuilds its neighbour list every 3 to 8 steps.
+fn slow_trajectory_strategy() -> impl Strategy<Value = Trajectory> {
+    proptest::collection::vec(
+        (0.5f64..15.0, -30.0f64..30.0, -30.0f64..30.0, 0.0f64..6.0),
+        1..10,
+    )
+    .prop_map(|legs| {
+        let mut t = 0.0;
+        let mut at = Point::new(legs[0].1, legs[0].2);
+        let mut pts = vec![(0.0, at)];
+        for (speed, x, y, pause) in legs {
+            let to = Point::new(x, y);
+            t += at.dist(to) / speed;
+            pts.push((t, to));
+            if pause > 3.0 {
+                t += pause;
+                pts.push((t, to));
+            }
+            at = to;
+        }
+        Trajectory::new(pts)
+    })
+}
+
+/// A copy of `traj` with every breakpoint moved by `f`.
+fn moved(traj: &Trajectory, f: &dyn Fn(Point) -> Point) -> Trajectory {
+    Trajectory::new(traj.points().iter().map(|&(t, p)| (t, f(p))).collect())
+}
+
+/// `trajs` plus a copy of node 0 pinned 3 m away on the diagonal, so the
+/// set has genuine contacts and the pinned pair straddles row and column
+/// boundaries alike.
+fn with_pinned_twin(mut trajs: Vec<Trajectory>) -> Vec<Trajectory> {
+    let pin = 3.0 / std::f64::consts::SQRT_2;
+    trajs.push(moved(&trajs[0], &|p| Point::new(p.x + pin, p.y + pin)));
+    trajs
+}
+
+/// The contacts as sortable bit-exact keys, sorted.
+fn contact_keys(contacts: &[Contact]) -> Vec<(NodePair, u64, u64)> {
+    let mut keys: Vec<_> = contacts
+        .iter()
+        .map(|c| {
+            (
+                c.pair,
+                c.start.as_secs().to_bits(),
+                c.end.as_secs().to_bits(),
+            )
+        })
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// Pumps a source dry in windows of `window` seconds.
+fn drain(src: &mut dyn ContactSource, window: f64) -> Vec<ContactEvent> {
+    let mut out = Vec::new();
+    let mut until = 0.0;
+    while until < src.duration() {
+        until = (until + window).min(src.duration());
+        src.next_window(until, &mut out);
+    }
+    out
 }
 
 /// Brute-force contact detection: sample every pair at every step.
@@ -79,27 +151,50 @@ proptest! {
     ) {
         const STRETCH: [f64; 4] = [1.0, 0.3, 1.0e3, 1.0e5];
         let (sx, sy) = (STRETCH[stretch.0], STRETCH[stretch.1]);
-        let moved = |traj: &Trajectory, f: &dyn Fn(Point) -> Point| {
-            Trajectory::new(traj.points().iter().map(|&(t, p)| (t, f(p))).collect())
-        };
-        let mut trajs: Vec<Trajectory> = trajs
-            .iter()
-            .map(|traj| moved(traj, &|p| Point::new(p.x * sx, p.y * sy)))
-            .collect();
-        let pin = 3.0 / std::f64::consts::SQRT_2;
-        trajs.push(moved(&trajs[0], &|p| Point::new(p.x + pin, p.y + pin)));
+        let trajs = with_pinned_twin(
+            trajs
+                .iter()
+                .map(|traj| moved(traj, &|p| Point::new(p.x * sx, p.y * sy)))
+                .collect(),
+        );
         let duration = 40.0;
         let cfg = ContactGenConfig { range: 10.0, dt: 0.5 };
         let fast = generate_trace(&trajs, duration, cfg);
         let slow = brute_force(&trajs, duration, cfg);
         prop_assert!(!slow.contacts.is_empty(), "the pinned pair must meet");
         prop_assert_eq!(fast.contacts.len(), slow.contacts.len());
-        let key = |c: &Contact| (c.pair, c.start.as_secs().to_bits(), c.end.as_secs().to_bits());
-        let mut a: Vec<_> = fast.contacts.iter().map(key).collect();
-        let mut b: Vec<_> = slow.contacts.iter().map(key).collect();
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(contact_keys(&fast.contacts), contact_keys(&slow.contacts));
+    }
+
+    /// Slow trajectories, whose neighbour list lives for several steps,
+    /// agree with the brute-force reference at every `dt`, and their
+    /// streamed windows — which end at arbitrary steps between rebuilds, on
+    /// one worker or a pool — replay the materialized trace event for event.
+    #[test]
+    fn slow_trajectories_match_brute_force_and_stream(
+        trajs in proptest::collection::vec(slow_trajectory_strategy(), 2..8),
+        dt in 0usize..3,
+        window in 0.7f64..7.0,
+        threads in 1usize..4,
+    ) {
+        let trajs = with_pinned_twin(trajs);
+        let duration = 30.0;
+        let cfg = ContactGenConfig { range: 10.0, dt: [0.1, 0.2, 0.5][dt] };
+        let trace = generate_trace(&trajs, duration, cfg);
+        let slow = brute_force(&trajs, duration, cfg);
+        prop_assert!(!slow.contacts.is_empty(), "the pinned pair must meet");
+        prop_assert_eq!(contact_keys(&trace.contacts), contact_keys(&slow.contacts));
+
+        // A stable sort by time puts both supplies in the engine's pop order.
+        let mut replayed = drain(&mut TraceReplaySource::new(&trace), duration);
+        replayed.sort_by_key(|e| e.at());
+        let mut seq = MobilityContactSource::new(trajs.clone(), duration, cfg);
+        let mut sharded = ShardedContactSource::new(trajs, duration, cfg, threads);
+        for src in [&mut seq as &mut dyn ContactSource, &mut sharded] {
+            let mut streamed = drain(src, window);
+            streamed.sort_by_key(|e| e.at());
+            prop_assert_eq!(&streamed, &replayed);
+        }
     }
 
     /// Cursor sampling equals random-access sampling at any monotone
@@ -144,19 +239,8 @@ proptest! {
         threads in 2usize..9,
         window in 5.0f64..60.0,
     ) {
-        use dtn_mobility::{MobilityContactSource, ShardedContactSource};
-        use dtn_sim::{ContactEvent, ContactSource};
         let duration = 40.0;
         let cfg = ContactGenConfig { range: 10.0, dt: 0.5 };
-        let drain = |src: &mut dyn ContactSource, window: f64| {
-            let mut out: Vec<ContactEvent> = Vec::new();
-            let mut until = 0.0;
-            while until < src.duration() {
-                until = (until + window).min(src.duration());
-                src.next_window(until, &mut out);
-            }
-            out
-        };
         let mut seq = MobilityContactSource::new(trajs.clone(), duration, cfg);
         let reference = drain(&mut seq, duration);
         let mut sharded = ShardedContactSource::new(trajs, duration, cfg, threads);
@@ -172,5 +256,84 @@ proptest! {
         let cfg = ContactGenConfig { range, dt: 0.5 };
         let trace = generate_trace(&trajs, 30.0, cfg);
         prop_assert!(trace.validate().is_ok(), "{:?}", trace.validate());
+    }
+}
+
+/// Head-on approaches at the paper's top bus speed: on lanes 1 km apart,
+/// pairs drive at each other at 13.9 m/s from gaps of 200–320 m in 0.25 m
+/// steps, so at every `dt` some pair sits just beyond the neighbour list's
+/// reach at a rebuild and comes within range before the next one — the
+/// case a skin sized one step short, or a rebuild one step late, gets
+/// wrong. Lanes never meet, so the reference is each lane's brute-force
+/// trace, renumbered.
+#[test]
+fn head_on_ladder_matches_brute_force() {
+    const SPEED: f64 = 13.9;
+    let duration = 14.0;
+    let gaps: Vec<f64> = (0..=480).map(|k| 200.0 + 0.25 * f64::from(k)).collect();
+    let drive = |from: Point, heading: f64| {
+        let to = Point::new(from.x + heading * SPEED * duration, from.y);
+        Trajectory::new(vec![(0.0, from), (duration, to)])
+    };
+    let mut trajs = Vec::new();
+    for (lane, &gap) in gaps.iter().enumerate() {
+        let y = lane as f64 * 1000.0;
+        trajs.push(drive(Point::new(0.0, y), 1.0));
+        trajs.push(drive(Point::new(gap, y), -1.0));
+    }
+    for dt in [0.1, 0.2, 0.5] {
+        let cfg = ContactGenConfig { range: 10.0, dt };
+        let fast = generate_trace(&trajs, duration, cfg);
+        let mut reference = Vec::new();
+        for (lane, pair) in trajs.chunks(2).enumerate() {
+            let ids = NodePair::new(NodeId(2 * lane as u32), NodeId(2 * lane as u32 + 1));
+            let lane_trace = brute_force(pair, duration, cfg);
+            reference.extend(
+                lane_trace
+                    .contacts
+                    .iter()
+                    .map(|&c| Contact { pair: ids, ..c }),
+            );
+        }
+        assert_eq!(
+            reference.len(),
+            gaps.len(),
+            "dt {dt}: every pair meets once"
+        );
+        assert_eq!(
+            contact_keys(&fast.contacts),
+            contact_keys(&reference),
+            "dt {dt}"
+        );
+    }
+}
+
+/// A node that jumps (a zero-duration segment) into range of a parked one
+/// and later out of it. Its speed bound is infinite, so the list is rebuilt
+/// at every step and the contact opens at the first step after the jump, as
+/// in the brute-force reference.
+#[test]
+fn jumping_node_matches_brute_force() {
+    let parked = Trajectory::stationary(Point::new(0.0, 0.0));
+    let far = Point::new(100.0, 0.0);
+    let near = Point::new(3.0, 0.0);
+    let jumper = Trajectory::new(vec![
+        (0.0, far),
+        (5.03, far),
+        (5.03, near),
+        (9.07, near),
+        (9.07, far),
+    ]);
+    let trajs = [parked, jumper];
+    for dt in [0.1, 0.2, 0.5] {
+        let cfg = ContactGenConfig { range: 10.0, dt };
+        let fast = generate_trace(&trajs, 12.0, cfg);
+        let slow = brute_force(&trajs, 12.0, cfg);
+        assert_eq!(slow.contacts.len(), 1, "dt {dt}");
+        assert_eq!(
+            contact_keys(&fast.contacts),
+            contact_keys(&slow.contacts),
+            "dt {dt}"
+        );
     }
 }

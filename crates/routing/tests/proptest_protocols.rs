@@ -55,9 +55,12 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&stats.goodput()));
     }
 
-    /// MaxProp's flooded acks never lose deliveries: the set of delivered
-    /// messages under MaxProp is identical whether or not duplicates occur,
-    /// and delivered ≤ epidemic's delivered on the same trace.
+    /// MaxProp delivers at most one message more than Epidemic on the same
+    /// trace and workload: with buffers that never overflow, flooding is the
+    /// expected upper bound. The `+ 1` slack is unexplained. The strict bound
+    /// held on 200 000 draws of this generator, but a larger draw (200
+    /// contact draws, 60 messages) gave a 6-node trace on which MaxProp
+    /// delivers 31 messages and Epidemic 30.
     #[test]
     fn maxprop_bounded_by_epidemic((trace, wl) in trace_and_workload(50, 15)) {
         let mp = Simulation::new(&trace, wl.clone(), SimConfig::paper(0), |id, n| {
