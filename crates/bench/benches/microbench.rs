@@ -9,7 +9,7 @@ use dtn_mobility::scenario::ScenarioConfig;
 use dtn_mobility::{ContactStepper, ScenarioSpec};
 use dtn_sim::event::{EventKind, EventQueue};
 use dtn_sim::observe::{EventLog, LatencyHistogramProbe, TimeSeriesProbe};
-use dtn_sim::{DrainMode, NodeId, NodePair, SimConfig, SimTime, Simulation, TrafficConfig};
+use dtn_sim::{NodeId, NodePair, SimConfig, SimTime, Simulation, TrafficConfig};
 use std::hint::black_box;
 
 const N: u32 = 240;
@@ -312,26 +312,6 @@ fn bench_engine(c: &mut Criterion) {
             sim.add_observer(Box::new(TimeSeriesProbe::new(60.0)));
             sim.add_observer(Box::new(LatencyHistogramProbe::new()));
             sim.add_observer(Box::new(EventLog::default()));
-            let (stats, _obs) = sim.run_observed();
-            black_box(stats.relayed)
-        })
-    });
-    // The identical probed run, but with observer dispatch shipped through
-    // the bounded SPSC ring to a companion drain thread. The gap between
-    // this and `_probed` above is the observation cost left on the hot
-    // thread (batch hand-off only) vs. paying full probe dispatch inline.
-    c.bench_function("observer_ring_drain", |b| {
-        b.iter(|| {
-            let mut sim = Simulation::new(
-                &scenario.trace,
-                workload.clone(),
-                SimConfig::paper(1),
-                |_, _| Box::new(dtn_routing::Epidemic::new()),
-            );
-            sim.add_observer(Box::new(TimeSeriesProbe::new(60.0)));
-            sim.add_observer(Box::new(LatencyHistogramProbe::new()));
-            sim.add_observer(Box::new(EventLog::default()));
-            sim.set_drain_mode(DrainMode::Ring { capacity: 16 });
             let (stats, _obs) = sim.run_observed();
             black_box(stats.relayed)
         })

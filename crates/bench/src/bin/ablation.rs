@@ -122,9 +122,21 @@ const USAGE: &str = "usage: ablation <alpha|ttl-aware|emd|window|cr-state|lambda
                      buffer-policy|adaptive-lambda|detected-communities|grid <spec>...> \
                      [--seeds K] [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
                      [--workload paper|hotspot|bursty] [--duration SECS] \
-                     [--threads N] [--run-threads N] [--drain inline|ring[:CAP]] \
+                     [--threads N] [--run-threads N] \
                      [--store DIR|--no-store] \
                      [--out json:PATH|csv:PATH|md:PATH ...]";
+
+/// Parses the flags shared with the figure binaries; a usage error exits 2.
+fn common_args(argv: Vec<String>) -> CommonArgs {
+    match CommonArgs::parse(argv.into_iter()) {
+        Ok(Some(a)) => a,
+        Ok(None) => unreachable!("main answers --help before any parsing"),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
+}
 
 /// CR with ground-truth districts vs. CR with communities learned online by
 /// the distributed SIMPLE detector (the paper's future-work item 2). Both
@@ -135,13 +147,7 @@ fn detected_communities(argv: Vec<String>) {
     use ce_core::{pairwise_agreement, CommunityMap};
     use dtn_bench::CommunitySource;
 
-    let mut args = match CommonArgs::parse(argv.into_iter()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let mut args = common_args(argv);
     if args.node_counts == vec![40, 80, 120, 160, 200, 240] {
         args.node_counts = vec![80, 160];
     }
@@ -218,6 +224,10 @@ fn detected_communities(argv: Vec<String>) {
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
     if argv.is_empty() {
         eprintln!("{USAGE}");
         std::process::exit(2);
@@ -266,13 +276,7 @@ fn main() {
         (a.title.to_string(), pairs)
     };
 
-    let mut args = match CommonArgs::parse(argv.into_iter()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let mut args = common_args(argv);
     // Ablations default to a single mid-sized point unless overridden.
     if args.node_counts == vec![40, 80, 120, 160, 200, 240] {
         args.node_counts = vec![80, 160];

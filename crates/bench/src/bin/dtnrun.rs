@@ -42,10 +42,6 @@ const USAGE: &str = "usage: dtnrun [flags]
                        streaming path (default 1: the scan runs on the
                        simulation thread); results are bit-identical for
                        every value
-  --drain MODE         observer dispatch: inline (default) or ring[:CAP] to
-                       fold probes on a companion thread through a bounded
-                       ring of CAP batches (default 16); results are
-                       bit-identical either way
   --progress-step SECS delivery-progress bucket (default 1000)
   --probe SPEC         attach an observer to the run (repeatable):
                          timeseries[:dt=SECS]  delivery/overhead/occupancy
@@ -88,8 +84,6 @@ struct Args {
     buffer: Option<u64>,
     /// `None` = one worker (no sharded scan pool).
     run_threads: Option<u32>,
-    /// `Some(capacity)` = off-thread observer drain through a bounded ring.
-    ring_drain: Option<usize>,
     progress_step: f64,
     probes: Vec<ProbeSpec>,
     outs: Vec<OutputSpec>,
@@ -114,7 +108,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         alpha: None,
         buffer: None,
         run_threads: None,
-        ring_drain: None,
         progress_step: 1_000.0,
         probes: Vec::new(),
         outs: Vec::new(),
@@ -139,7 +132,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--run-threads" => {
                 out.run_threads = Some(val("--run-threads")?.parse().map_err(|e| format!("{e}"))?)
             }
-            "--drain" => out.ring_drain = CommonArgs::parse_drain(&val("--drain")?)?,
             "--progress-step" => {
                 out.progress_step = val("--progress-step")?
                     .parse()
@@ -240,9 +232,6 @@ fn main() {
     }
     if let Some(t) = args.run_threads {
         spec = spec.with_run_threads(t);
-    }
-    if let Some(c) = args.ring_drain {
-        spec = spec.with_ring_drain(c);
     }
     let title = format!("dtnrun: {} on {}", args.protocol, spec.scenario);
 

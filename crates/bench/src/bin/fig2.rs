@@ -26,7 +26,11 @@ use std::path::Path;
 
 fn main() {
     let args = match CommonArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{}", CommonArgs::USAGE);
+            return;
+        }
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);

@@ -15,7 +15,11 @@ const LAMBDAS: [u32; 4] = [6, 8, 10, 12];
 
 fn main() {
     let args = match CommonArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{}", CommonArgs::USAGE);
+            return;
+        }
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);

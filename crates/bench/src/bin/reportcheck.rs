@@ -41,7 +41,11 @@ const USAGE: &str = "usage: reportcheck FILE [FILE...]
 
 fn main() {
     let mut files: Vec<String> = std::env::args().skip(1).collect();
-    if files.is_empty() || files.iter().any(|f| f == "--help" || f == "-h") {
+    if files.iter().any(|f| f == "--help" || f == "-h") {
+        println!("{USAGE}");
+        return;
+    }
+    if files.is_empty() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     }

@@ -12,7 +12,7 @@
 //! cargo run -p dtn-bench --release --bin shootout -- \
 //!     [--seeds K] [--nodes a,b,c] [--duration SECS] \
 //!     [--protocols eer,cr,...] [--workload paper|hotspot|bursty] \
-//!     [--threads N] [--run-threads N] [--drain inline|ring[:CAP]] \
+//!     [--threads N] [--run-threads N] \
 //!     [--trace <path>] [--out json:PATH|csv:PATH|md:PATH ...]
 //! ```
 //!
@@ -54,7 +54,6 @@ struct Args {
     large_n: bool,
     threads: Option<usize>,
     run_threads: Option<u32>,
-    ring_drain: Option<usize>,
     store: Option<String>,
     no_store: bool,
 }
@@ -106,7 +105,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         large_n: true,
         threads: None,
         run_threads: None,
-        ring_drain: None,
         store: None,
         no_store: false,
     };
@@ -147,7 +145,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                         .map_err(|e| format!("--run-threads: {e}"))?,
                 )
             }
-            "--drain" => out.ring_drain = CommonArgs::parse_drain(&val("--drain")?)?,
             "--store" => out.store = Some(val("--store")?),
             "--no-store" => out.no_store = true,
             "--help" | "-h" => return Ok(None),
@@ -174,7 +171,7 @@ fn main() {
                 "usage: shootout [--seeds K] [--nodes a,b,c] [--duration SECS] \
                  [--protocols eer,cr,...] [--workload paper|hotspot|bursty] [--trace <path>] \
                  [--probe timeseries[:dt=SECS]|latency ...] \
-                 [--threads N] [--run-threads N] [--drain inline|ring[:CAP]] \
+                 [--threads N] [--run-threads N] \
                  [--store DIR|--no-store] \
                  [--out json:PATH|csv:PATH|md:PATH ...] [--no-large-n]\n\
                  \n\
@@ -237,9 +234,6 @@ fn main() {
                 }
                 if let Some(t) = args.run_threads {
                     spec = spec.with_run_threads(t);
-                }
-                if let Some(c) = args.ring_drain {
-                    spec = spec.with_ring_drain(c);
                 }
                 specs.push(spec);
             }

@@ -27,7 +27,6 @@ fn main() {
     let mut probes: Vec<ProbeSpec> = Vec::new();
     let mut outs: Vec<OutputSpec> = Vec::new();
     let mut run_threads: Option<u32> = None;
-    let mut ring_drain: Option<usize> = None;
     let mut store_dir: Option<String> = None;
     let mut no_store = false;
     let mut positional = 0;
@@ -62,9 +61,6 @@ fn main() {
                         .unwrap_or_else(|e| die(format!("--run-threads: {e}"))),
                 )
             }
-            "--drain" => {
-                ring_drain = CommonArgs::parse_drain(&val("--drain")).unwrap_or_else(|e| die(e))
-            }
             "--store" => store_dir = Some(val("--store")),
             "--no-store" => no_store = true,
             "--help" | "-h" => {
@@ -72,7 +68,7 @@ fn main() {
                     "usage: smoke [n_nodes] [seed] [--scenario paper|rwp|trace:<path>] \
                      [--workload paper|hotspot|bursty] [--duration SECS] \
                      [--probe timeseries[:dt=SECS]|latency ...] \
-                     [--run-threads N] [--drain inline|ring[:CAP]] \
+                     [--run-threads N] \
                      [--store DIR|--no-store] \
                      [--out json:PATH|csv:PATH|md:PATH ...]"
                 );
@@ -108,9 +104,6 @@ fn main() {
             }
             if let Some(t) = run_threads {
                 spec = spec.with_run_threads(t);
-            }
-            if let Some(c) = ring_drain {
-                spec = spec.with_ring_drain(c);
             }
             spec
         })

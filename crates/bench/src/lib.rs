@@ -57,6 +57,7 @@
 //! any matrix costs file reads instead of simulation (`--store DIR` /
 //! `--no-store` on every binary; maintenance via the `dtnstore` binary).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

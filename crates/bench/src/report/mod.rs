@@ -157,13 +157,10 @@ pub struct CommonArgs {
     /// [`SweepConfig`](crate::SweepConfig) default (available parallelism).
     pub threads: Option<usize>,
     /// Per-run contact-scan threads (`--run-threads`), forwarded to every
-    /// spec via [`CommonArgs::configure`]; `None` = one worker.
+    /// spec via [`CommonArgs::configure`]; `None` = one worker. Results are
+    /// bitwise identical either way — both thread counts are execution
+    /// knobs, never cell identity.
     pub run_threads: Option<u32>,
-    /// Observer drain (`--drain inline|ring[:CAP]`): `Some(capacity)`
-    /// routes every run's probes through the off-thread ring drain,
-    /// `None` keeps inline dispatch. Results are bitwise identical either
-    /// way — all three of these are execution knobs, never cell identity.
-    pub ring_drain: Option<usize>,
     /// Result-store root override (`--store DIR`); `None` = the default
     /// root ([`crate::DEFAULT_STORE_ROOT`]) unless [`CommonArgs::no_store`].
     pub store: Option<String>,
@@ -173,11 +170,23 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
+    /// The flag reference [`CommonArgs::parse`] accepts, printed for
+    /// `--help`.
+    pub const USAGE: &'static str = "usage: [--full|--quick] [--seeds K] \
+                                     [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
+                                     [--workload paper|hotspot|bursty] [--duration SECS] \
+                                     [--out json:PATH|csv:PATH|md:PATH ...] \
+                                     [--probe timeseries[:dt=SECS]|latency ...] \
+                                     [--threads N] [--run-threads N] \
+                                     [--store DIR|--no-store] \
+                                     [--print-settings]";
+
     /// Parses `--full`, `--seeds K`, `--nodes a,b,c`, `--quick`,
     /// `--scenario FAMILY`, `--workload KIND`, `--duration SECS`,
     /// `--out FORMAT:PATH` (repeatable), `--probe SPEC` (repeatable),
-    /// `--print-settings` from `args`.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// `--print-settings` from `args`. `Ok(None)` means `--help` (or `-h`)
+    /// was requested: the caller prints its usage and exits successfully.
+    pub fn parse(args: impl Iterator<Item = String>) -> Result<Option<Self>, String> {
         let mut out = CommonArgs {
             seeds: 3,
             node_counts: vec![40, 80, 120, 160, 200, 240],
@@ -189,7 +198,6 @@ impl CommonArgs {
             print_settings: false,
             threads: None,
             run_threads: None,
-            ring_drain: None,
             store: None,
             no_store: false,
         };
@@ -249,27 +257,12 @@ impl CommonArgs {
                     let t: u32 = v.parse().map_err(|e| format!("--run-threads: {e}"))?;
                     out.run_threads = Some(t);
                 }
-                "--drain" => {
-                    let v = it.next().ok_or("--drain needs inline|ring[:CAP]")?;
-                    out.ring_drain = Self::parse_drain(&v)?;
-                }
                 "--store" => {
                     let v = it.next().ok_or("--store needs a directory")?;
                     out.store = Some(v);
                 }
                 "--no-store" => out.no_store = true,
-                "--help" | "-h" => {
-                    return Err("usage: [--full|--quick] [--seeds K] \
-                                [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
-                                [--workload paper|hotspot|bursty] [--duration SECS] \
-                                [--out json:PATH|csv:PATH|md:PATH ...] \
-                                [--probe timeseries[:dt=SECS]|latency ...] \
-                                [--threads N] [--run-threads N] \
-                                [--drain inline|ring[:CAP]] \
-                                [--store DIR|--no-store] \
-                                [--print-settings]"
-                        .into())
-                }
+                "--help" | "-h" => return Ok(None),
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -287,7 +280,7 @@ impl CommonArgs {
                     .into(),
             );
         }
-        Ok(out)
+        Ok(Some(out))
     }
 
     /// The scenario spec for the sweep's `n`-node point. Trace replay
@@ -324,23 +317,6 @@ impl CommonArgs {
         v.split(',').map(Self::parse_node_count).collect()
     }
 
-    /// Parses a `--drain` value: `inline` (the default dispatch) or
-    /// `ring[:CAP]` for the off-thread observer drain (`CAP` defaults to
-    /// 16 in-flight batches; minimum 1).
-    pub fn parse_drain(v: &str) -> Result<Option<usize>, String> {
-        match v {
-            "inline" => Ok(None),
-            "ring" => Ok(Some(16)),
-            _ => match v.strip_prefix("ring:") {
-                Some(cap) => {
-                    let c: usize = cap.parse().map_err(|e| format!("--drain ring:CAP: {e}"))?;
-                    Ok(Some(c.max(1)))
-                }
-                None => Err(format!("--drain: expected inline|ring[:CAP], got {v}")),
-            },
-        }
-    }
-
     /// The matrix sweep configuration these args select (`--seeds`,
     /// `--threads`).
     pub fn sweep_config(&self) -> crate::SweepConfig {
@@ -355,8 +331,7 @@ impl CommonArgs {
     }
 
     /// Applies the shared per-spec flags to one sweep cell: workload,
-    /// probes, duration override, and the execution knobs
-    /// (`--run-threads`, `--drain`).
+    /// probes, duration override, and the execution knob `--run-threads`.
     pub fn configure(&self, spec: crate::RunSpec) -> crate::RunSpec {
         let mut spec = spec
             .with_workload(self.workload.clone())
@@ -366,9 +341,6 @@ impl CommonArgs {
         }
         if let Some(t) = self.run_threads {
             spec = spec.with_run_threads(t);
-        }
-        if let Some(c) = self.ring_drain {
-            spec = spec.with_ring_drain(c);
         }
         spec
     }
@@ -470,12 +442,16 @@ mod tests {
 
     #[test]
     fn args_parse_defaults_and_flags() {
-        let d = CommonArgs::parse(std::iter::empty()).unwrap();
+        let d = CommonArgs::parse(std::iter::empty()).unwrap().unwrap();
         assert_eq!(d.seeds, 3);
         assert_eq!(d.node_counts, vec![40, 80, 120, 160, 200, 240]);
-        let f = CommonArgs::parse(["--full".to_string()].into_iter()).unwrap();
+        let f = CommonArgs::parse(["--full".to_string()].into_iter())
+            .unwrap()
+            .unwrap();
         assert_eq!(f.seeds, 10);
-        let q = CommonArgs::parse(["--quick".to_string()].into_iter()).unwrap();
+        let q = CommonArgs::parse(["--quick".to_string()].into_iter())
+            .unwrap()
+            .unwrap();
         assert_eq!(q.seeds, 1);
         assert_eq!(q.node_counts.len(), 3);
         let n = CommonArgs::parse(
@@ -487,6 +463,7 @@ mod tests {
             ]
             .into_iter(),
         )
+        .unwrap()
         .unwrap();
         assert_eq!(n.node_counts, vec![40, 80]);
         assert_eq!(n.seeds, 5);
@@ -494,20 +471,35 @@ mod tests {
         assert!(CommonArgs::parse(["--seeds".to_string(), "0".to_string()].into_iter()).is_err());
     }
 
+    /// `--help` and `-h` are a request, not an error: `Ok(None)` wherever
+    /// they appear, so the binaries print usage to stdout and exit 0 (real
+    /// usage errors stay `Err`, exit 2).
+    #[test]
+    fn help_is_not_an_error() {
+        for flags in [&["--help"][..], &["-h"], &["--seeds", "2", "--help"]] {
+            let got = CommonArgs::parse(flags.iter().map(|f| f.to_string()));
+            assert!(matches!(got, Ok(None)), "{flags:?}: {got:?}");
+        }
+        assert!(CommonArgs::USAGE.starts_with("usage: "));
+    }
+
     /// `--store DIR` / `--no-store` parse, default to "no override, store
     /// on", and `open_store` honors the disable switch.
     #[test]
     fn store_flags_parse_and_resolve() {
-        let d = CommonArgs::parse(std::iter::empty()).unwrap();
+        let d = CommonArgs::parse(std::iter::empty()).unwrap().unwrap();
         assert_eq!(d.store, None);
         assert!(!d.no_store);
 
         let s =
             CommonArgs::parse(["--store".to_string(), "results/alt-store".to_string()].into_iter())
+                .unwrap()
                 .unwrap();
         assert_eq!(s.store.as_deref(), Some("results/alt-store"));
 
-        let n = CommonArgs::parse(["--no-store".to_string()].into_iter()).unwrap();
+        let n = CommonArgs::parse(["--no-store".to_string()].into_iter())
+            .unwrap()
+            .unwrap();
         assert!(n.no_store);
         assert!(n.open_store().is_none(), "--no-store disables the store");
         assert!(CommonArgs::parse(["--store".to_string()].into_iter()).is_err());
@@ -518,36 +510,28 @@ mod tests {
     #[test]
     fn execution_flags_parse_and_configure() {
         let args = CommonArgs::parse(
-            ["--threads", "4", "--run-threads", "2", "--drain", "ring:8"]
+            ["--threads", "4", "--run-threads", "2"]
                 .map(String::from)
                 .into_iter(),
         )
+        .unwrap()
         .unwrap();
         assert_eq!(args.threads, Some(4));
         assert_eq!(args.run_threads, Some(2));
-        assert_eq!(args.ring_drain, Some(8));
         assert_eq!(args.sweep_config().threads, 4);
         assert_eq!(args.sweep_config().seeds, 3);
 
         let base = crate::RunSpec::new("EER", 8, crate::ProtocolSpec::parse("eer").unwrap());
         let spec = args.configure(base.clone());
         assert_eq!(spec.run_threads, Some(2));
-        assert_eq!(spec.ring_drain, Some(8));
         assert_eq!(spec.cell_key(1), args.configure(base).cell_key(1));
-
-        // The drain grammar: inline, bare ring (default capacity), ring:CAP
-        // (clamped to >= 1), everything else refused.
-        assert_eq!(CommonArgs::parse_drain("inline").unwrap(), None);
-        assert_eq!(CommonArgs::parse_drain("ring").unwrap(), Some(16));
-        assert_eq!(CommonArgs::parse_drain("ring:0").unwrap(), Some(1));
-        assert!(CommonArgs::parse_drain("bogus").is_err());
-        assert!(CommonArgs::parse_drain("ring:x").is_err());
     }
 
     #[test]
     fn duration_flag_parses_and_rejects_trace_replay() {
-        let d =
-            CommonArgs::parse(["--duration".to_string(), "1500".to_string()].into_iter()).unwrap();
+        let d = CommonArgs::parse(["--duration".to_string(), "1500".to_string()].into_iter())
+            .unwrap()
+            .unwrap();
         assert_eq!(d.duration, Some(1500.0));
         assert!(
             CommonArgs::parse(["--duration".to_string(), "0".to_string()].into_iter()).is_err()
@@ -629,10 +613,11 @@ mod tests {
             ]
             .into_iter(),
         )
+        .unwrap()
         .unwrap();
         assert_eq!(a.outs.len(), 2);
         assert_eq!(a.outs_or(&["csv:default.csv"]).len(), 2, "--out wins");
-        let d = CommonArgs::parse(std::iter::empty()).unwrap();
+        let d = CommonArgs::parse(std::iter::empty()).unwrap().unwrap();
         let outs = d.outs_or(&["csv:default.csv"]);
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].format, OutputFormat::Csv);

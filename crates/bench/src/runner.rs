@@ -102,13 +102,10 @@ pub struct RunSpec {
     /// Results are bit-identical for every value, so this is *execution*
     /// configuration, deliberately excluded from [`RunSpec::cell_key`].
     pub run_threads: Option<u32>,
-    /// Observer drain for the run's engine: `None` folds probes inline on
-    /// the simulation thread, `Some(capacity)` drains them on a companion
-    /// thread through a bounded ring ([`dtn_sim::DrainMode::Ring`]).
-    /// Observer states are bit-identical either way, so — like
-    /// [`RunSpec::run_threads`] — this is *execution* configuration,
-    /// deliberately excluded from [`RunSpec::cell_key`].
-    pub ring_drain: Option<usize>,
+    /// Always `None`: observers are always called inline, and the type
+    /// admits no other value. Kept only because the benchmark package
+    /// asserts it is unset; it goes after the next benchmark change.
+    pub ring_drain: Option<std::convert::Infallible>,
 }
 
 impl RunSpec {
@@ -186,16 +183,6 @@ impl RunSpec {
     /// cell key.
     pub fn with_run_threads(mut self, threads: u32) -> Self {
         self.run_threads = Some(threads);
-        self
-    }
-
-    /// Drains this run's observers on a companion thread through a bounded
-    /// ring of `capacity` batches (clamped to ≥ 1) instead of folding them
-    /// inline. Purely an execution knob: observer states are bit-identical
-    /// either way (see [`dtn_sim::DrainMode`]), so it never enters the cell
-    /// key.
-    pub fn with_ring_drain(mut self, capacity: usize) -> Self {
-        self.ring_drain = Some(capacity.max(1));
         self
     }
 
@@ -555,9 +542,6 @@ fn observe(
                 artifact = Some(path);
             }
         }
-    }
-    if let Some(capacity) = spec.ring_drain {
-        sim.set_drain_mode(dtn_sim::DrainMode::Ring { capacity });
     }
     let (stats, observers) = sim.run_observed();
     for obs in &observers {
@@ -958,12 +942,6 @@ mod tests {
         let threaded = base.clone().with_run_threads(8);
         assert_eq!(threaded.cell_key(1), base.cell_key(1));
         assert_eq!(threaded.effective_run_threads(), 8);
-        // The observer drain mode is execution configuration too: a ring
-        // drain of any capacity shares the inline run's cache key.
-        let drained = base.clone().with_ring_drain(4);
-        assert_eq!(drained.cell_key(1), base.cell_key(1));
-        assert_eq!(drained.ring_drain, Some(4));
-        assert_eq!(base.clone().with_ring_drain(0).ring_drain, Some(1));
         assert_eq!(base.clone().with_run_threads(0).effective_run_threads(), 1);
         // Unset means one worker at every size, trace replay included.
         assert_eq!(base.effective_run_threads(), 1);

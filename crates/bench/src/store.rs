@@ -157,7 +157,7 @@ impl CellStore {
     /// collision, which [`CellStore::serve`] detects by re-checking the
     /// stored key.
     pub fn entry_path(&self, cell: &str) -> PathBuf {
-        let h = fnv1a64(cell.as_bytes());
+        let h = dtn_sim::fnv1a(dtn_sim::FNV_OFFSET, cell.as_bytes());
         self.root
             .join(format!("{:02x}", h >> 56))
             .join(format!("{h:016x}.json"))
@@ -334,17 +334,6 @@ pub fn resolve_store(dir: Option<&str>, disabled: bool) -> Option<CellStore> {
             None
         }
     }
-}
-
-/// FNV-1a 64 — the same cheap, dependency-free hash the trace fingerprint
-/// uses; collisions are tolerated by design (loads re-check the key).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Writes `text` to `path` atomically: temp file in the target directory,

@@ -1,19 +1,11 @@
-//! The sweep-fabric determinism contract, property-tested:
-//!
-//! 1. **Stealing is invisible.** `run_matrix_records` over the
-//!    work-stealing fabric at 2/4/8 workers returns the *same record list*
-//!    — same order, every field bitwise except `wall_s` — as a sequential
-//!    1-thread fold of the same matrix.
-//! 2. **The drain is invisible.** Routing every run's observers through
-//!    the off-thread ring drain (down to capacity 1, the rendezvous
-//!    degenerate case) changes nothing either: stats, probe sections and
-//!    record identity stay bitwise identical to inline dispatch.
-//! 3. **Neither is identity.** `run_threads` and `ring_drain` never enter
-//!    a cell key, so all of the above land in the same report cells.
+//! The sweep-fabric determinism contract, property-tested: stealing is
+//! invisible. `run_matrix_records` over the work-stealing fabric at 2/4/8
+//! workers returns the *same record list* — same order, every field bitwise
+//! except `wall_s` — as a sequential 1-thread fold of the same matrix.
 //!
 //! Matrices are drawn from the canonical `dtn_testutil` generators
 //! (scenario family × protocol × workload × probe set), crossed with seed
-//! counts, thread counts and ring capacities.
+//! counts and thread counts.
 
 use dtn_bench::{run_matrix_records, RunRecord, RunSpec, ScenarioCache, SweepConfig};
 use dtn_testutil::arb_spec_matrix;
@@ -67,13 +59,13 @@ fn sweep(specs: &[RunSpec], seeds: u32, threads: usize) -> Vec<RunRecord> {
 }
 
 proptest! {
-    // Each case executes the matrix seven times (1/2/4/8 threads + three
-    // drained variants); a handful of random matrices gives wide coverage
-    // at tolerable wall-clock.
+    // Each case executes the matrix four times (1/2/4/8 threads); a
+    // handful of random matrices gives wide coverage at tolerable
+    // wall-clock.
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     #[test]
-    fn fabric_and_drain_are_bitwise_invisible(
+    fn fabric_is_bitwise_invisible(
         specs in arb_spec_matrix(1..4),
         seeds in 1u32..3,
     ) {
@@ -89,30 +81,10 @@ proptest! {
             prop_assert_eq!(r.seed, (i % seeds as usize) as u64 + 1);
         }
 
-        // 1. Work stealing at every thread count reproduces the fold.
+        // Work stealing at every thread count reproduces the fold.
         for threads in [2usize, 4, 8] {
             let got = sweep(&specs, seeds, threads);
             assert_records_identical(&reference, &got, &format!("{threads} threads"));
-        }
-
-        // 2. The off-thread ring drain reproduces inline dispatch — at a
-        //    generous capacity, at the rendezvous degenerate capacity 1,
-        //    and combined with stealing workers.
-        for (cap, threads) in [(64usize, 1usize), (1, 1), (2, 4)] {
-            let drained: Vec<RunSpec> = specs
-                .iter()
-                .map(|s| s.clone().with_ring_drain(cap))
-                .collect();
-            // 3. Execution knobs never enter cell identity.
-            for (s, d) in specs.iter().zip(&drained) {
-                prop_assert_eq!(s.cell_key(1), d.cell_key(1));
-            }
-            let got = sweep(&drained, seeds, threads);
-            assert_records_identical(
-                &reference,
-                &got,
-                &format!("ring drain cap={cap} threads={threads}"),
-            );
         }
     }
 }

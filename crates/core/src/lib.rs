@@ -30,6 +30,7 @@
 //! assert_eq!(stats.delivered, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

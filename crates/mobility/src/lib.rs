@@ -29,6 +29,7 @@
 //! assert!(scenario.trace.validate().is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

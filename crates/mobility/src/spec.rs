@@ -36,7 +36,8 @@ use crate::stream::MobilityContactSource;
 use crate::trajectory::Trajectory;
 use crate::RoadGraphBuilder;
 use dtn_sim::{
-    ContactSource, ContactTrace, MessageSpec, NodeId, SimTime, TraceReplaySource, TrafficConfig,
+    fnv1a, ContactSource, ContactTrace, MessageSpec, NodeId, SimTime, TraceReplaySource,
+    TrafficConfig, FNV_OFFSET,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -758,15 +759,8 @@ impl fmt::Display for WorkloadSpec {
 /// FNV-1a content fingerprint of a trace, so equal inline traces share one
 /// cache identity. Stable across processes (unlike `DefaultHasher`).
 fn trace_fingerprint(t: &ContactTrace) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut mix = |v: u64| h = fnv1a(h, &v.to_le_bytes());
     mix(u64::from(t.n_nodes));
     mix(t.duration.to_bits());
     for c in &t.contacts {

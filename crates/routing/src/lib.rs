@@ -17,6 +17,7 @@
 //!
 //! The paper's own protocols (EER and CR) live in the `ce-core` crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -43,7 +43,7 @@ use crate::buffer::{Buffer, BufferEntry, DropReason};
 use crate::event::{EventKind, EventQueue};
 use crate::ids::{MessageId, NodeId, NodePair};
 use crate::message::{Message, MessageArena, MessageSpec};
-use crate::observe::{DrainMode, ObserverDrain, SimEvent, SimObserver};
+use crate::observe::{SimEvent, SimObserver};
 use crate::router::{pair_mut, ContactCtx, NodeCtx, Router, SentSet, TransferAction, TransferPlan};
 use crate::source::{ContactEvent, ContactSource, TraceReplaySource};
 use crate::stats::SimStats;
@@ -154,8 +154,7 @@ pub struct Simulation {
     /// Scratch for expired message ids, reused by TTL sweeps.
     expired_scratch: Vec<MessageId>,
     /// Attached observers; the engine's own `stats` is always folded inline
-    /// and is not in this list. Empty while a ring drain owns them; restored
-    /// (in attachment order) by [`Self::finish`].
+    /// and is not in this list.
     observers: Vec<Box<dyn SimObserver>>,
     /// Reused scratch batch of pending events for observer dispatch (empty
     /// while no observers are attached).
@@ -163,14 +162,6 @@ pub struct Simulation {
     /// Distinct sampling cadences requested by observers; each entry owns a
     /// [`EventKind::ProbeSample`] chain.
     probe_intervals: Vec<f64>,
-    /// Where observer batches are dispatched ([`Self::set_drain_mode`]).
-    drain_mode: DrainMode,
-    /// The running companion drain thread, when [`DrainMode::Ring`] is
-    /// active and observers are attached.
-    drain: Option<ObserverDrain>,
-    /// Whether any observer consumes the stream this run (directly or via
-    /// the drain) — decided once at start so [`Self::emit`] checks one bool.
-    observing: bool,
     finished: bool,
     started: bool,
 }
@@ -263,28 +254,9 @@ impl Simulation {
             observers: Vec::new(),
             batch: Vec::new(),
             probe_intervals: Vec::new(),
-            drain_mode: DrainMode::Inline,
-            drain: None,
-            observing: false,
             finished: false,
             started: false,
         }
-    }
-
-    /// Selects where observer batches are dispatched: inline on the
-    /// simulation thread (the default) or through a bounded lock-free ring
-    /// to a companion drain thread ([`DrainMode::Ring`]). Purely an
-    /// execution knob — stats, probe outputs and recorded artifacts are
-    /// bitwise identical in both modes.
-    ///
-    /// # Panics
-    /// Panics if the run has already started.
-    pub fn set_drain_mode(&mut self, mode: DrainMode) {
-        assert!(
-            !self.started,
-            "the drain mode must be chosen before the simulation starts"
-        );
-        self.drain_mode = mode;
     }
 
     /// Attaches an observer to the run. If the observer requests a sampling
@@ -373,15 +345,6 @@ impl Simulation {
     /// inspectable afterwards (used by tests and examples).
     pub fn run_to_end(&mut self) -> &SimStats {
         if !self.started {
-            if let DrainMode::Ring { capacity } = self.drain_mode {
-                if !self.observers.is_empty() {
-                    self.drain = Some(ObserverDrain::spawn(
-                        std::mem::take(&mut self.observers),
-                        capacity,
-                    ));
-                }
-            }
-            self.observing = self.drain.is_some() || !self.observers.is_empty();
             self.start();
             self.started = true;
         }
@@ -481,7 +444,7 @@ impl Simulation {
             return;
         }
         self.finished = true;
-        if self.observing {
+        if !self.observers.is_empty() {
             let (buffered_bytes, buffered_msgs) = self.occupancy();
             self.emit(SimEvent::Tick {
                 at: self.now,
@@ -490,16 +453,8 @@ impl Simulation {
             });
             self.flush();
             let final_stats = self.stats.snapshot();
-            if let Some(drain) = self.drain.take() {
-                // End-of-run barrier: the drain thread folds every batch
-                // published before this point, runs `on_end`, and hands the
-                // observers back — in attachment order, states bitwise equal
-                // to inline dispatch.
-                self.observers = drain.finish(self.now, final_stats);
-            } else {
-                for obs in &mut self.observers {
-                    obs.on_end(self.now, &final_stats);
-                }
+            for obs in &mut self.observers {
+                obs.on_end(self.now, &final_stats);
             }
         }
     }
@@ -511,7 +466,7 @@ impl Simulation {
     #[inline]
     fn emit(&mut self, ev: SimEvent) {
         self.stats.apply(&ev);
-        if self.observing {
+        if !self.observers.is_empty() {
             self.batch.push(ev);
             if self.batch.len() >= OBSERVER_BATCH {
                 self.flush();
@@ -519,24 +474,16 @@ impl Simulation {
         }
     }
 
-    /// Delivers the pending batch to every observer and clears it. Inline
-    /// mode dispatches from the reused scratch buffer (capacity retained, no
-    /// allocation); ring mode hands the batch's storage to the drain thread
-    /// and starts a fresh one — one allocation per [`OBSERVER_BATCH`]
-    /// events, paid instead of the observers' fold cost.
+    /// Delivers the pending batch to every observer from the reused scratch
+    /// buffer and clears it (capacity retained, no allocation).
     fn flush(&mut self) {
         if self.batch.is_empty() {
             return;
         }
-        if let Some(drain) = &mut self.drain {
-            let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(OBSERVER_BATCH));
-            drain.send_batch(batch);
-        } else {
-            for obs in &mut self.observers {
-                obs.on_events(&self.batch);
-            }
-            self.batch.clear();
+        for obs in &mut self.observers {
+            obs.on_events(&self.batch);
         }
+        self.batch.clear();
     }
 
     /// Global buffer occupancy: `(total bytes, total messages)` across all

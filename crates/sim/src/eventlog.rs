@@ -36,14 +36,6 @@
 //! there — which is exactly why replayed statistics match the live run on
 //! *every* field.
 //!
-//! The writer is drain-agnostic: under [`crate::observe::DrainMode::Ring`]
-//! it runs on the companion drain thread instead of the simulation thread,
-//! and because the ring preserves batch order and the engine's end-of-run
-//! barrier joins the drain before returning, the artifact — every record,
-//! chain value and the trailer — is byte-identical to inline dispatch and
-//! complete on disk by the time `run_observed` returns (pinned by
-//! `crates/sim/tests/ring.rs`).
-//!
 //! The hash chain is FNV-1a (64-bit): the chain starts from the FNV offset
 //! basis folded over the magic and header bytes, and each record folds its
 //! own `tag ‖ seq ‖ payload` into the running value, which is then stored
@@ -65,8 +57,8 @@ use std::path::{Path, PathBuf};
 /// Leading magic of a TRACE/1.0 artifact (carries the format version).
 pub const TRACE_MAGIC: &[u8; 10] = b"TRACE/1.0\n";
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the starting value of every [`fnv1a`] hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -80,9 +72,12 @@ const REPLAY_BATCH: usize = 256;
 /// `Delivered` at 1 + 8 + 33 + 8 bytes.
 const MAX_RECORD: usize = 50;
 
-/// Folds `bytes` into an FNV-1a 64-bit running hash.
+/// Folds `bytes` into an FNV-1a 64-bit running hash; start from
+/// [`FNV_OFFSET`]. The workspace's one stable, dependency-free hash: the
+/// TRACE/1.0 chain, inline-trace fingerprints and result-store entry paths
+/// all fold through it, so it must never change.
 #[inline]
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -851,6 +846,19 @@ mod tests {
         w.on_end(SimTime::secs(1_000.0), &end_stats());
         w.status().expect("clean write");
         path
+    }
+
+    /// The standard FNV-1a 64 test vectors.
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding in pieces is folding the concatenation.
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
     }
 
     #[test]

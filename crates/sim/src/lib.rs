@@ -14,10 +14,8 @@
 //!   contact events pulled in windows instead of a whole-horizon trace;
 //! * [`router`] — the protocol callback API ([`Router`]);
 //! * [`engine`] — the discrete-event engine ([`Simulation`]);
-//! * [`observe`] — the observation layer: [`SimEvent`] stream,
-//!   [`SimObserver`] probes (time series, latency histograms), and the
-//!   off-thread drain mode ([`DrainMode`]);
-//! * [`ring`] — the bounded lock-free SPSC ring under the off-thread drain;
+//! * [`observe`] — the observation layer: [`SimEvent`] stream and
+//!   [`SimObserver`] probes (time series, latency histograms);
 //! * [`eventlog`] — durable TRACE/1.0 event-log artifacts
 //!   ([`EventLogWriter`]) and re-simulation-free replay ([`TraceReader`]);
 //! * [`buffer`], [`message`], [`stats`], [`event`], [`time`], [`ids`] —
@@ -52,6 +50,7 @@
 //! assert_eq!(stats.delivery_ratio(), 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -63,7 +62,6 @@ pub mod ids;
 pub mod message;
 pub mod observe;
 pub mod report;
-pub mod ring;
 pub mod router;
 pub mod source;
 pub mod stats;
@@ -72,12 +70,12 @@ pub mod trace;
 
 pub use buffer::{Buffer, BufferEntry, DropReason};
 pub use engine::{SimConfig, Simulation};
-pub use eventlog::{EventLogWriter, TraceMeta, TraceReader};
+pub use eventlog::{fnv1a, EventLogWriter, TraceMeta, TraceReader, FNV_OFFSET};
 pub use ids::{MessageId, NodeId, NodePair};
 pub use message::{Message, MessageArena, MessageSpec, TrafficConfig};
 pub use observe::{
-    DrainMode, LatencyHistogram, LatencyHistogramProbe, SimEvent, SimObserver, TimeSeries,
-    TimeSeriesProbe, TsSample,
+    LatencyHistogram, LatencyHistogramProbe, SimEvent, SimObserver, TimeSeries, TimeSeriesProbe,
+    TsSample,
 };
 pub use router::{ContactCtx, NodeCtx, Router, SentSet, TransferAction, TransferPlan};
 pub use source::{ContactEvent, ContactSource, TraceReplaySource};

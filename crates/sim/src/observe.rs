@@ -216,13 +216,7 @@ impl SimEvent {
 /// reused scratch buffer. Because every event is timestamped, batch
 /// boundaries carry no information: an observer's output must be (and, for
 /// the in-tree probes, is) a pure function of the stream.
-///
-/// Observers are `Send` so the engine can hand the whole set to a companion
-/// drain thread ([`DrainMode::Ring`]) — batch delivery then happens off the
-/// simulation thread, through the bounded lock-free ring in [`crate::ring`],
-/// with the exact same call sequence (`on_events` in stream order, one final
-/// `on_end`) as inline dispatch.
-pub trait SimObserver: Any + Send {
+pub trait SimObserver: Any {
     /// Receives the next slice of the event stream, in occurrence order.
     fn on_events(&mut self, batch: &[SimEvent]);
 
@@ -545,118 +539,6 @@ impl SimObserver for EventLog {
 
     fn as_any(&self) -> &dyn Any {
         self
-    }
-}
-
-/// Where observer batches are dispatched.
-///
-/// Purely an *execution* knob: every event carries its own timestamp and the
-/// drain preserves batch order and the end-of-run callback sequence, so
-/// stats, probe outputs and TRACE/1.0 artifacts are bitwise identical in
-/// both modes (property-tested in the bench crate). Like the worker-thread
-/// count, the drain mode is therefore never part of a cell's identity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DrainMode {
-    /// Dispatch batches to observers on the simulation thread (the
-    /// default): no extra thread, no handoff, observer cost rides the hot
-    /// path.
-    #[default]
-    Inline,
-    /// Publish batches into a bounded lock-free ring ([`crate::ring`]) and
-    /// fold them into the observers on a companion thread. The simulation
-    /// thread pays one pointer publish per batch instead of the observer
-    /// work; the end of the run joins the drain deterministically, so
-    /// [`Simulation::run_observed`](crate::Simulation::run_observed) hands
-    /// back fully-folded observers exactly as in inline mode.
-    Ring {
-        /// In-flight batch capacity; 1 is legal (rendezvous). A full ring
-        /// backpressures the simulation thread rather than queueing without
-        /// bound.
-        capacity: usize,
-    },
-}
-
-/// One message on the drain ring: the event batches in stream order, then
-/// exactly one end-of-run marker.
-enum DrainMsg {
-    /// The next slice of the event stream.
-    Batch(Vec<SimEvent>),
-    /// The run ended at this time with these final counters.
-    End(SimTime, crate::stats::StatsSnapshot),
-}
-
-/// The engine's handle on a running observer drain thread: the producer side
-/// of the batch ring plus the join handle that returns the observers once
-/// the stream (and the end-of-run callback) has been fully folded.
-pub(crate) struct ObserverDrain {
-    tx: crate::ring::Producer<DrainMsg>,
-    handle: Option<std::thread::JoinHandle<Vec<Box<dyn SimObserver>>>>,
-}
-
-impl ObserverDrain {
-    /// Moves `observers` to a companion thread that folds ring batches into
-    /// them. `capacity` is clamped to at least one slot.
-    pub(crate) fn spawn(mut observers: Vec<Box<dyn SimObserver>>, capacity: usize) -> Self {
-        let (tx, mut rx) = crate::ring::channel::<DrainMsg>(capacity.max(1));
-        let handle = std::thread::Builder::new()
-            .name("dtn-sim-observer-drain".into())
-            .spawn(move || {
-                while let Some(msg) = rx.pop() {
-                    match msg {
-                        DrainMsg::Batch(batch) => {
-                            for obs in &mut observers {
-                                obs.on_events(&batch);
-                            }
-                        }
-                        DrainMsg::End(now, final_stats) => {
-                            for obs in &mut observers {
-                                obs.on_end(now, &final_stats);
-                            }
-                        }
-                    }
-                }
-                observers
-            })
-            .expect("spawn observer drain thread");
-        ObserverDrain {
-            tx,
-            handle: Some(handle),
-        }
-    }
-
-    /// Publishes one event batch, blocking on a full ring (backpressure). If
-    /// the drain thread died (an observer panicked), the original panic is
-    /// re-raised here on the simulation thread — mid-run, loudly, never a
-    /// hang.
-    pub(crate) fn send_batch(&mut self, batch: Vec<SimEvent>) {
-        if self.tx.push(DrainMsg::Batch(batch)).is_err() {
-            let handle = self.handle.take().expect("drain joined once");
-            match handle.join() {
-                Err(panic) => std::panic::resume_unwind(panic),
-                Ok(_) => unreachable!("drain thread exited before the ring closed"),
-            }
-        }
-    }
-
-    /// Publishes the end-of-run marker, closes the ring and joins the drain
-    /// thread, returning the observers in their original attachment order —
-    /// the deterministic barrier that makes ring drain indistinguishable
-    /// from inline dispatch to every caller. A drain-side panic is re-raised
-    /// here.
-    pub(crate) fn finish(
-        mut self,
-        now: SimTime,
-        final_stats: crate::stats::StatsSnapshot,
-    ) -> Vec<Box<dyn SimObserver>> {
-        // A push failure means the drain thread is already dead; the join
-        // below surfaces its panic either way.
-        let _ = self.tx.push(DrainMsg::End(now, final_stats));
-        let handle = self.handle.take().expect("drain joined once");
-        drop(self); // closes the ring: the drain loop exits after End
-        match handle.join() {
-            Ok(observers) => observers,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
     }
 }
 

@@ -19,6 +19,7 @@
 //! * **fixtures** ([`replay_trace`], [`family_matrix`], [`temp_trace`]) —
 //!   shared synthetic scenarios and artifact paths.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

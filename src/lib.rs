@@ -42,6 +42,7 @@
 //! assert!(stats.created > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use ce_core as core;
