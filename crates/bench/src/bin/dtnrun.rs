@@ -42,7 +42,8 @@ const USAGE: &str = "usage: dtnrun [flags]
                        streaming path (default 1: the scan runs on the
                        simulation thread); results are bit-identical for
                        every value
-  --progress-step SECS delivery-progress bucket (default 1000)
+  --progress-step SECS delivery-progress bucket (default: a tenth of the
+                       horizon)
   --probe SPEC         attach an observer to the run (repeatable):
                          timeseries[:dt=SECS]  delivery/overhead/occupancy
                                                curves sampled in-run
@@ -84,7 +85,8 @@ struct Args {
     buffer: Option<u64>,
     /// `None` = one worker (no sharded scan pool).
     run_threads: Option<u32>,
-    progress_step: f64,
+    /// `None` = a tenth of the run's horizon.
+    progress_step: Option<f64>,
     probes: Vec<ProbeSpec>,
     outs: Vec<OutputSpec>,
     /// Replay a recorded TRACE/1.0 artifact instead of running the engine.
@@ -108,7 +110,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         alpha: None,
         buffer: None,
         run_threads: None,
-        progress_step: 1_000.0,
+        progress_step: None,
         probes: Vec::new(),
         outs: Vec::new(),
         replay: None,
@@ -123,19 +125,29 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--scenario" => out.scenario = Some(val("--scenario")?),
             "--workload" => out.workload = WorkloadSpec::parse(&val("--workload")?)?,
             "--nodes" => out.nodes = CommonArgs::parse_node_count(&val("--nodes")?)?,
-            "--seed" => out.seed = val("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => out.seed = CommonArgs::parse_number("--seed", &val("--seed")?)?,
             "--duration" => out.duration = Some(CommonArgs::parse_duration(&val("--duration")?)?),
-            "--lambda" => out.lambda = Some(val("--lambda")?.parse().map_err(|e| format!("{e}"))?),
-            "--alpha" => out.alpha = Some(val("--alpha")?.parse().map_err(|e| format!("{e}"))?),
+            "--lambda" => {
+                out.lambda = Some(CommonArgs::parse_number("--lambda", &val("--lambda")?)?)
+            }
+            "--alpha" => out.alpha = Some(CommonArgs::parse_number("--alpha", &val("--alpha")?)?),
             "--trace" => out.scenario = Some(format!("trace:{}", val("--trace")?)),
-            "--buffer" => out.buffer = Some(val("--buffer")?.parse().map_err(|e| format!("{e}"))?),
+            "--buffer" => {
+                out.buffer = Some(CommonArgs::parse_number("--buffer", &val("--buffer")?)?)
+            }
             "--run-threads" => {
-                out.run_threads = Some(val("--run-threads")?.parse().map_err(|e| format!("{e}"))?)
+                out.run_threads = Some(CommonArgs::parse_number(
+                    "--run-threads",
+                    &val("--run-threads")?,
+                )?)
             }
             "--progress-step" => {
-                out.progress_step = val("--progress-step")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
+                let v = val("--progress-step")?;
+                let step: f64 = CommonArgs::parse_number("--progress-step", &v)?;
+                if !step.is_finite() || step <= 0.0 {
+                    return Err(format!("--progress-step: need a positive step, got {v}"));
+                }
+                out.progress_step = Some(step);
             }
             "--probe" => out.probes.push(ProbeSpec::parse(&val("--probe")?)?),
             "--record" => out.probes.push(ProbeSpec::parse(&format!(
@@ -352,7 +364,7 @@ enum Origin<'a> {
 /// sections that need per-message creation times come from the probes
 /// there (attach `--probe latency` / `--probe timeseries` to a replay to
 /// get them, bitwise identical to the recorded live run).
-fn print_record(record: &RunRecord, origin: Origin<'_>, progress_step: f64) {
+fn print_record(record: &RunRecord, origin: Origin<'_>, progress_step: Option<f64>) {
     let (tag, probe) = match origin {
         Origin::Live { .. } => ("", "probe"),
         Origin::Served => (" (served from store)", "stored probe"),
@@ -384,6 +396,11 @@ fn print_record(record: &RunRecord, origin: Origin<'_>, progress_step: f64) {
     println!("control traffic  {:.2} MB", stats.control_mb());
     if let Origin::Live { stats, wall, .. } = &origin {
         println!("wall time        {wall:.2?}");
+        let progress_step = progress_step.unwrap_or(if record.duration > 0.0 {
+            record.duration / 10.0
+        } else {
+            1.0
+        });
         println!(
             "\ndelivery progress (cumulative, every {:.0} s):",
             progress_step

@@ -14,6 +14,7 @@
 //! * `gc`     — evict least-recently-accessed entries until the payload is
 //!   at most `--max-bytes` (atime, falling back to mtime).
 
+use dtn_bench::report::CommonArgs;
 use dtn_bench::{CellStore, DEFAULT_STORE_ROOT};
 use std::path::Path;
 
@@ -51,10 +52,10 @@ fn main() {
         };
         match a.as_str() {
             "--store" => root = val("--store"),
-            "--max-bytes" => match val("--max-bytes").parse() {
+            "--max-bytes" => match CommonArgs::parse_number("--max-bytes", &val("--max-bytes")) {
                 Ok(v) => max_bytes = Some(v),
                 Err(e) => {
-                    eprintln!("--max-bytes: {e}");
+                    eprintln!("{e}");
                     std::process::exit(2);
                 }
             },

@@ -112,7 +112,7 @@ fn parse_args() -> Result<Option<Args>, String> {
     while let Some(a) = it.next() {
         let mut val = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match a.as_str() {
-            "--seeds" => out.seeds = val("--seeds")?.parse().map_err(|e| format!("{e}"))?,
+            "--seeds" => out.seeds = CommonArgs::parse_number("--seeds", &val("--seeds")?)?,
             "--nodes" => out.node_counts = CommonArgs::parse_nodes(&val("--nodes")?)?,
             "--duration" => out.duration = CommonArgs::parse_duration(&val("--duration")?)?,
             "--protocols" => {
@@ -132,18 +132,13 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--out" => out.outs.push(OutputSpec::parse(&val("--out")?)?),
             "--no-large-n" => out.large_n = false,
             "--threads" => {
-                out.threads = Some(
-                    val("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
+                out.threads = Some(CommonArgs::parse_number("--threads", &val("--threads")?)?)
             }
             "--run-threads" => {
-                out.run_threads = Some(
-                    val("--run-threads")?
-                        .parse()
-                        .map_err(|e| format!("--run-threads: {e}"))?,
-                )
+                out.run_threads = Some(CommonArgs::parse_number(
+                    "--run-threads",
+                    &val("--run-threads")?,
+                )?)
             }
             "--store" => out.store = Some(val("--store")?),
             "--no-store" => out.no_store = true,

@@ -56,9 +56,8 @@ fn main() {
             "--out" => outs.push(OutputSpec::parse(&val("--out")).unwrap_or_else(|e| die(e))),
             "--run-threads" => {
                 run_threads = Some(
-                    val("--run-threads")
-                        .parse()
-                        .unwrap_or_else(|e| die(format!("--run-threads: {e}"))),
+                    CommonArgs::parse_number("--run-threads", &val("--run-threads"))
+                        .unwrap_or_else(|e| die(e)),
                 )
             }
             "--store" => store_dir = Some(val("--store")),
@@ -74,14 +73,15 @@ fn main() {
                 );
                 return;
             }
+            other if other.starts_with('-') => die(format!("unknown flag {other} (try --help)")),
             other => {
                 let parsed = match positional {
-                    0 => other.parse().map(|v| n = v).map_err(|e| format!("{e}")),
-                    1 => other.parse().map(|v| seed = v).map_err(|e| format!("{e}")),
+                    0 => CommonArgs::parse_number("n_nodes", other).map(|v| n = v),
+                    1 => CommonArgs::parse_number("seed", other).map(|v| seed = v),
                     _ => Err(format!("unexpected argument {other}")),
                 };
                 if let Err(e) = parsed {
-                    die(format!("bad argument {other}: {e}"));
+                    die(e);
                 }
                 positional += 1;
             }

@@ -211,7 +211,7 @@ impl CommonArgs {
                 }
                 "--seeds" => {
                     let v = it.next().ok_or("--seeds needs a value")?;
-                    out.seeds = v.parse().map_err(|e| format!("--seeds: {e}"))?;
+                    out.seeds = Self::parse_number("--seeds", &v)?;
                 }
                 "--nodes" => {
                     let v = it.next().ok_or("--nodes needs a value")?;
@@ -249,13 +249,11 @@ impl CommonArgs {
                 "--print-settings" => out.print_settings = true,
                 "--threads" => {
                     let v = it.next().ok_or("--threads needs a value")?;
-                    let t: usize = v.parse().map_err(|e| format!("--threads: {e}"))?;
-                    out.threads = Some(t);
+                    out.threads = Some(Self::parse_number("--threads", &v)?);
                 }
                 "--run-threads" => {
                     let v = it.next().ok_or("--run-threads needs a value")?;
-                    let t: u32 = v.parse().map_err(|e| format!("--run-threads: {e}"))?;
-                    out.run_threads = Some(t);
+                    out.run_threads = Some(Self::parse_number("--run-threads", &v)?);
                 }
                 "--store" => {
                     let v = it.next().ok_or("--store needs a directory")?;
@@ -289,10 +287,20 @@ impl CommonArgs {
         ScenarioSpec::parse(&self.scenario, n).expect("validated at parse time")
     }
 
+    /// Parses the value of a numeric flag. The error names the flag and the
+    /// value (`--seed: invalid digit found in string, got x`); every numeric
+    /// flag of every binary goes through this one helper.
+    pub fn parse_number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        v.parse().map_err(|e| format!("{flag}: {e}, got {v}"))
+    }
+
     /// Parses a `--duration` value: a finite, positive horizon in seconds.
     /// Every binary's `--duration` goes through this one check.
     pub fn parse_duration(v: &str) -> Result<f64, String> {
-        let d: f64 = v.parse().map_err(|e| format!("--duration: {e}"))?;
+        let d: f64 = Self::parse_number("--duration", v)?;
         if !d.is_finite() || d <= 0.0 {
             return Err(format!("--duration: need a positive horizon, got {v}"));
         }
@@ -302,7 +310,7 @@ impl CommonArgs {
     /// Parses one `--nodes` count: a generated scenario needs at least two
     /// nodes. Every binary's `--nodes` goes through this one check.
     pub fn parse_node_count(v: &str) -> Result<u32, String> {
-        let n: u32 = v.parse().map_err(|e| format!("--nodes: {e}"))?;
+        let n: u32 = Self::parse_number("--nodes", v)?;
         if n < 2 {
             return Err(format!(
                 "--nodes: a scenario needs at least 2 nodes, got {n}"

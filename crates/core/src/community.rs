@@ -15,6 +15,8 @@ pub type CommunityId = u32;
 #[derive(Clone, Debug)]
 pub struct CommunityMap {
     cid_of: Vec<CommunityId>,
+    /// Each node's index in its community's member list.
+    position: Vec<u32>,
     members: Vec<Vec<NodeId>>,
 }
 
@@ -27,10 +29,17 @@ impl CommunityMap {
         assert!(!cid_of.is_empty());
         let n_comm = cid_of.iter().copied().max().unwrap() as usize + 1;
         let mut members = vec![Vec::new(); n_comm];
+        let mut position = Vec::with_capacity(cid_of.len());
         for (i, &c) in cid_of.iter().enumerate() {
-            members[c as usize].push(NodeId(i as u32));
+            let list = &mut members[c as usize];
+            position.push(list.len() as u32);
+            list.push(NodeId(i as u32));
         }
-        CommunityMap { cid_of, members }
+        CommunityMap {
+            cid_of,
+            position,
+            members,
+        }
     }
 
     /// Community id of `node`.
@@ -39,7 +48,14 @@ impl CommunityMap {
         self.cid_of[node.idx()]
     }
 
-    /// Nodes belonging to community `c`.
+    /// Index of `node` in its community's member list: the row and column
+    /// CR's intra-community tables give it.
+    #[inline]
+    pub fn position(&self, node: NodeId) -> u32 {
+        self.position[node.idx()]
+    }
+
+    /// Nodes belonging to community `c`, ascending by id.
     #[inline]
     pub fn members(&self, c: CommunityId) -> &[NodeId] {
         &self.members[c as usize]
@@ -91,6 +107,9 @@ mod tests {
         assert_eq!(m.cid(NodeId(3)), 2);
         assert_eq!(m.members(0), &[NodeId(0), NodeId(2)]);
         assert_eq!(m.members(1), &[NodeId(1), NodeId(4)]);
+        assert_eq!(m.position(NodeId(2)), 1);
+        assert_eq!(m.position(NodeId(3)), 0);
+        assert_eq!(m.position(NodeId(4)), 1);
         assert!(m.same_community(NodeId(0), NodeId(2)));
         assert!(!m.same_community(NodeId(0), NodeId(1)));
     }

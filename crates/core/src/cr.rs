@@ -21,12 +21,14 @@
 //!
 //! The key systems payoff over EER: the gossiped state shrinks from the full
 //! `n × n` MI to the community-local sub-matrix, so CR exchanges far fewer
-//! control bytes (measured by the `ablation cr-state` grid).
+//! control bytes (measured by the `ablation cr-state` grid). Each node's
+//! intra-community MI is that sub-matrix and no more: its rows and columns
+//! are the positions in [`CommunityMap::members`] of the node's community.
 
 use crate::community::CommunityMap;
 use crate::eer::{quantise_tau, replica_share};
 use crate::history::{ContactHistory, DEFAULT_WINDOW};
-use crate::memd::MemdSolver;
+use crate::memd::{emd_entries, solve_into};
 use crate::mi::MiMatrix;
 use crate::policy::BufferPolicy;
 use dtn_sim::{
@@ -79,12 +81,12 @@ pub struct Cr {
     communities: Arc<CommunityMap>,
     /// Full history towards all nodes (needed for ENEC and P_ic).
     history: ContactHistory,
-    /// Intra-community MI, indexed by *global* node ids but only rows/
-    /// columns of the own community are ever populated or exchanged.
+    /// Intra-community MI over the own community: row and column `k` are
+    /// the community's `k`-th member ([`CommunityMap::position`]).
     intra_mi: MiMatrix,
-    solver: MemdSolver,
     queues: Vec<(NodeId, VecDeque<TransferPlan>)>,
-    /// Cached intra-community MEMD′ vector and its computation time.
+    /// Cached intra-community MEMD′ vector (indexed by member position),
+    /// solved in place, and its computation time.
     memd_cache: Vec<f64>,
     memd_time: f64,
     /// Cached ENECs: (τ bits, computed-at seconds, value).
@@ -114,13 +116,13 @@ impl Cr {
         assert!(cfg.lambda >= 1);
         assert!((0.0..=1.0).contains(&cfg.alpha));
         assert_eq!(communities.n_nodes(), n as usize, "community map size");
+        let community_size = communities.members(communities.cid(me)).len();
         Cr {
             me,
             cfg,
-            communities,
             history: ContactHistory::new(me, n, cfg.window),
-            intra_mi: MiMatrix::new(n),
-            solver: MemdSolver::new(),
+            intra_mi: MiMatrix::new(community_size as u32),
+            communities,
             queues: Vec::new(),
             memd_cache: Vec::new(),
             memd_time: f64::NEG_INFINITY,
@@ -138,9 +140,19 @@ impl Cr {
         &self.history
     }
 
-    /// Read access to the intra-community MI matrix.
+    /// Read access to the intra-community MI matrix. It spans the own
+    /// community only: row and column `k` belong to the `k`-th member
+    /// ([`CommunityMap::position`]).
     pub fn intra_mi(&self) -> &MiMatrix {
         &self.intra_mi
+    }
+
+    /// This node's intra-community MEMD′ at `now`, solved afresh: entry `k`
+    /// is the delay to the own community's `k`-th member (∞ = unreachable).
+    pub fn intra_memd(&self, now: SimTime) -> Vec<f64> {
+        let mut dist = Vec::new();
+        self.solve_intra_memd(&mut dist, now);
+        dist
     }
 
     /// Theorem 4 expectation for this node at `now` over `tau`.
@@ -153,31 +165,36 @@ impl Cr {
         self.communities.members(self.communities.cid(self.me))
     }
 
+    /// This node's row and column in the intra-community tables.
+    fn my_position(&self) -> NodeId {
+        NodeId(self.communities.position(self.me))
+    }
+
     /// Publishes a new version of the own intra-MI row: the history means
     /// towards the met peers of the own community.
     fn refresh_own_row(&mut self, now: SimTime) {
-        let communities = &self.communities;
-        let my_cid = communities.cid(self.me);
-        let row = self
-            .history
-            .mean_row()
-            .filter(|&(j, _)| communities.cid(NodeId(j)) == my_cid);
-        self.intra_mi.set_row(self.me, row, now.as_secs());
+        let me = self.my_position();
+        let row = community_entries(&self.communities, self.me, self.history.mean_row());
+        self.intra_mi.set_row(me, row, now.as_secs());
     }
 
-    /// Intra-community MEMD′ vector, recomputed at most every `cfg.refresh`
-    /// seconds.
-    fn intra_memd_cached(&mut self, now: SimTime) -> &[f64] {
+    /// Solves MEMD′ over the intra-community MI into `dist`, from the own
+    /// Theorem-2 row restricted to the community.
+    fn solve_intra_memd(&self, dist: &mut Vec<f64>, now: SimTime) {
+        let own_row =
+            community_entries(&self.communities, self.me, emd_entries(&self.history, now));
+        solve_into(dist, self.my_position(), &self.intra_mi, own_row, None);
+    }
+
+    /// Re-solves the cached MEMD′ vector if it is more than `cfg.refresh`
+    /// seconds old.
+    fn refresh_intra_memd(&mut self, now: SimTime) {
         if now.as_secs() - self.memd_time > self.cfg.refresh {
-            let members: Vec<NodeId> = self.my_members().to_vec();
-            let d = self
-                .solver
-                .memd_all(&self.history, &self.intra_mi, now, Some(&members))
-                .to_vec();
-            self.memd_cache = d;
+            let mut dist = std::mem::take(&mut self.memd_cache);
+            self.solve_intra_memd(&mut dist, now);
+            self.memd_cache = dist;
             self.memd_time = now.as_secs();
         }
-        &self.memd_cache
     }
 
     /// Theorem-4 ENEC with a (τ, time)-bucketed cache.
@@ -228,15 +245,11 @@ impl Cr {
                     && self.communities.cid(e.msg.dst) == my_cid
                     && !ctx.peer_buf.contains(e.msg.id)
             });
-        let (my_memd, peer_memd) = if need_memd {
+        if need_memd {
             ctx.control_bytes(16);
-            (
-                self.intra_memd_cached(now).to_vec(),
-                peer_router_memd(peer_router, now),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
+            self.refresh_intra_memd(now);
+            peer_router.refresh_intra_memd(now);
+        }
         let mut intra_ev_cache: Vec<(u64, f64, f64)> = Vec::new();
 
         for entry in ctx.buf.iter() {
@@ -300,8 +313,8 @@ impl Cr {
                         queue.push_back(TransferPlan::split(msg.id, give));
                     }
                 } else {
-                    let mine = my_memd[msg.dst.idx()];
-                    let theirs = peer_memd[msg.dst.idx()];
+                    let k = self.communities.position(msg.dst) as usize;
+                    let (mine, theirs) = (self.memd_cache[k], peer_router.memd_cache[k]);
                     if mine > theirs + self.cfg.forward_hysteresis {
                         queue.push_back(TransferPlan::forward(msg.id));
                     }
@@ -334,16 +347,12 @@ impl Router for Cr {
         self.history.record_meeting(ctx.peer, now);
 
         // Intra-community MI gossip only between same-community nodes —
-        // this is the state-size reduction CR buys over EER. Only the own
-        // community's rows are ever set at any node of it, so only they are
-        // compared.
+        // this is the state-size reduction CR buys over EER. Both tables
+        // span the same community, position for position.
         if self.communities.same_community(self.me, ctx.peer) {
             self.refresh_own_row(now);
-            let members = self.communities.members(self.communities.cid(self.me));
-            let copied = self
-                .intra_mi
-                .merge_rows_from(&peer_router.intra_mi, members);
-            let community_size = members.len();
+            let copied = self.intra_mi.merge_from(&peer_router.intra_mi);
+            let community_size = self.intra_mi.n();
             ctx.control_bytes(8 * (copied * community_size + community_size) as u64);
         }
 
@@ -397,9 +406,18 @@ impl Router for Cr {
     }
 }
 
-/// Fetches the peer's cached intra-community MEMD′ vector.
-fn peer_router_memd(peer: &mut Cr, now: SimTime) -> Vec<f64> {
-    peer.intra_memd_cached(now).to_vec()
+/// The entries of a row over global ids that fall in `me`'s community, as
+/// `(position, value)`: positions ascend with ids, so the row stays sorted.
+fn community_entries<'a>(
+    communities: &'a CommunityMap,
+    me: NodeId,
+    row: impl Iterator<Item = (u32, f64)> + 'a,
+) -> impl Iterator<Item = (u32, f64)> + 'a {
+    let my_cid = communities.cid(me);
+    row.filter_map(move |(j, v)| {
+        let j = NodeId(j);
+        (communities.cid(j) == my_cid).then(|| (communities.position(j), v))
+    })
 }
 
 /// Convenience: a router factory closure for CR over a shared community map.

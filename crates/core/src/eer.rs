@@ -30,7 +30,7 @@
 //!   checks that both approximations leave the protocol's semantics intact.
 
 use crate::history::{ContactHistory, DEFAULT_WINDOW};
-use crate::memd::MemdSolver;
+use crate::memd::{emd_entries, mean_entries, solve_into};
 use crate::mi::MiMatrix;
 use crate::policy::BufferPolicy;
 use dtn_sim::{
@@ -107,10 +107,10 @@ pub struct Eer {
     cfg: EerConfig,
     history: ContactHistory,
     mi: MiMatrix,
-    solver: MemdSolver,
     /// Pending transfer decisions per active contact.
     queues: Vec<(NodeId, VecDeque<TransferPlan>)>,
-    /// Cached MEMD vector and the time it was computed (`-∞` = never).
+    /// Cached MEMD vector, solved in place, and the time it was computed
+    /// (`-∞` = never).
     memd_cache: Vec<f64>,
     memd_time: f64,
     /// Cached EEVs: (τ bits, computed-at seconds, value).
@@ -143,7 +143,6 @@ impl Eer {
             cfg,
             history: ContactHistory::new(me, n, cfg.window),
             mi: MiMatrix::new(n),
-            solver: MemdSolver::new(),
             queues: Vec::new(),
             memd_cache: Vec::new(),
             memd_time: f64::NEG_INFINITY,
@@ -173,24 +172,21 @@ impl Eer {
             .set_row(self.me, self.history.mean_row(), now.as_secs());
     }
 
-    /// MEMD vector for this node, recomputed at most every `cfg.refresh`
-    /// seconds.
-    fn memd_cached(&mut self, now: SimTime) -> &[f64] {
+    /// Re-solves this node's MEMD vector if the cached one is more than
+    /// `cfg.refresh` seconds old.
+    fn refresh_memd(&mut self, now: SimTime) {
         if now.as_secs() - self.memd_time > self.cfg.refresh {
-            let d = match self.cfg.emd_mode {
-                EmdMode::Theorem2 => self
-                    .solver
-                    .memd_all(&self.history, &self.mi, now, None)
-                    .to_vec(),
-                EmdMode::MeanInterval => self
-                    .solver
-                    .memd_all_mean(&self.history, &self.mi, None)
-                    .to_vec(),
-            };
-            self.memd_cache = d;
+            let (cache, me, mi) = (&mut self.memd_cache, self.me, &self.mi);
+            match self.cfg.emd_mode {
+                EmdMode::Theorem2 => {
+                    solve_into(cache, me, mi, emd_entries(&self.history, now), None)
+                }
+                EmdMode::MeanInterval => {
+                    solve_into(cache, me, mi, mean_entries(&self.history), None)
+                }
+            }
             self.memd_time = now.as_secs();
         }
-        &self.memd_cache
     }
 
     /// Theorem-1 EEV with a (τ, time)-bucketed cache (see `cfg.refresh`).
@@ -286,15 +282,11 @@ impl Router for Eer {
             .buf
             .iter()
             .any(|e| e.copies == 1 && e.msg.dst != ctx.peer && !ctx.peer_buf.contains(e.msg.id));
-        let (my_memd, peer_memd) = if need_memd {
+        if need_memd {
             ctx.control_bytes(16); // MEMD scalar exchange
-            (
-                self.memd_cached(now).to_vec(),
-                peer_router.memd_cached(now).to_vec(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
+            self.refresh_memd(now);
+            peer_router.refresh_memd(now);
+        }
         let mut queue: VecDeque<TransferPlan> = VecDeque::new();
 
         for entry in ctx.buf.iter() {
@@ -316,8 +308,8 @@ impl Router for Eer {
                     queue.push_back(TransferPlan::split(msg.id, give));
                 }
             } else {
-                let mine = my_memd[msg.dst.idx()];
-                let theirs = peer_memd[msg.dst.idx()];
+                let mine = self.memd_cache[msg.dst.idx()];
+                let theirs = peer_router.memd_cache[msg.dst.idx()];
                 if mine > theirs + self.cfg.forward_hysteresis {
                     queue.push_back(TransferPlan::forward(msg.id));
                 }

@@ -13,9 +13,10 @@
 //! * `EMD(t) = mean(M_ij) − e` (Theorem 2);
 //! * `EEV(t, τ) = Σ_j mτ_ij / m_ij` (Theorem 1).
 //!
-//! The interval window is kept sorted with a parallel prefix-sum array, so
-//! each query is two binary searches — O(log W) — which matters because EER
-//! evaluates EEVs per message per contact.
+//! The interval window is kept sorted, so the counts `m` and `mτ` are two
+//! binary searches — O(log W) — which matters because EER evaluates EEVs per
+//! message per contact. The sums behind `EMD` and `I_ij` walk the sorted
+//! window (W ≤ 32 by default) once per own-row build.
 
 use dtn_sim::{NodeId, SimTime};
 
@@ -23,17 +24,23 @@ use dtn_sim::{NodeId, SimTime};
 pub const DEFAULT_WINDOW: usize = 32;
 
 /// Contact history between this node and one particular peer.
+///
+/// A 32-byte record with one allocation: `samples` holds the recorded
+/// intervals twice, sorted ascending in its first half and in arrival order
+/// in its second, a ring whose oldest entry is at `head`. It grows by one
+/// interval per meeting until the window is full; from then on each meeting
+/// replaces the oldest interval in place. Sums over the sorted half run left
+/// to right from `0.0`, the order a prefix-sum array accumulates them in.
 #[derive(Clone, Debug)]
 pub struct PairHistory {
-    /// Time of the last recorded meeting, if any.
-    last_meet: Option<SimTime>,
-    /// Recorded intervals in arrival order (for window eviction).
-    recent: Vec<f64>,
-    /// The same intervals, sorted ascending.
-    sorted: Vec<f64>,
-    /// `prefix[k]` = sum of `sorted[..k]`.
-    prefix: Vec<f64>,
-    window: usize,
+    /// Time of the last recorded meeting in seconds; `-∞` = never met.
+    last_meet: f64,
+    /// `[sorted | arrival ring]`, [`PairHistory::len`] intervals each.
+    samples: Box<[f64]>,
+    /// Most intervals kept.
+    window: u32,
+    /// Ring position of the oldest interval (0 until the window is full).
+    head: u32,
 }
 
 impl PairHistory {
@@ -41,78 +48,89 @@ impl PairHistory {
     pub fn new(window: usize) -> Self {
         assert!(window >= 1);
         PairHistory {
-            last_meet: None,
-            recent: Vec::new(),
-            sorted: Vec::new(),
-            prefix: vec![0.0],
-            window,
+            last_meet: f64::NEG_INFINITY,
+            samples: Box::default(),
+            window: u32::try_from(window).expect("window fits in u32"),
+            head: 0,
         }
     }
 
     /// Records a meeting at `now`. The first meeting only sets the anchor;
     /// subsequent meetings append the interval since the previous one.
     pub fn record_meeting(&mut self, now: SimTime) {
-        if let Some(prev) = self.last_meet {
+        if let Some(prev) = self.last_meet() {
             let dt = now.since(prev);
             if dt > 0.0 {
-                if self.recent.len() == self.window {
-                    let evicted = self.recent.remove(0);
-                    let pos = self
-                        .sorted
-                        .binary_search_by(|x| x.total_cmp(&evicted))
-                        .expect("evicted value present");
-                    self.sorted.remove(pos);
-                }
-                self.recent.push(dt);
-                let pos = self.sorted.partition_point(|&x| x < dt);
-                self.sorted.insert(pos, dt);
-                self.rebuild_prefix();
+                self.push_interval(dt);
             }
         }
-        self.last_meet = Some(now);
+        self.last_meet = now.as_secs();
     }
 
-    fn rebuild_prefix(&mut self) {
-        self.prefix.clear();
-        self.prefix.push(0.0);
-        let mut acc = 0.0;
-        for &x in &self.sorted {
-            acc += x;
-            self.prefix.push(acc);
+    /// Adds `dt` to the window, evicting the oldest interval when it is full.
+    fn push_interval(&mut self, dt: f64) {
+        let len = self.len();
+        if len < self.window as usize {
+            let (sorted, ring) = self.samples.split_at(len);
+            let pos = sorted.partition_point(|&x| x < dt);
+            let mut grown = Vec::with_capacity(2 * (len + 1));
+            grown.extend_from_slice(&sorted[..pos]);
+            grown.push(dt);
+            grown.extend_from_slice(&sorted[pos..]);
+            grown.extend_from_slice(ring);
+            grown.push(dt);
+            self.samples = grown.into_boxed_slice();
+        } else {
+            let (sorted, ring) = self.samples.split_at_mut(len);
+            let head = self.head as usize;
+            let evicted = std::mem::replace(&mut ring[head], dt);
+            self.head = ((head + 1) % len) as u32;
+            let pos = sorted
+                .binary_search_by(|x| x.total_cmp(&evicted))
+                .expect("evicted value present");
+            sorted[pos..].rotate_left(1);
+            let pos = sorted[..len - 1].partition_point(|&x| x < dt);
+            sorted[pos..].rotate_right(1);
+            sorted[pos] = dt;
         }
+    }
+
+    /// `(Σ sorted[..lo], Σ sorted)`, each summed left to right from `0.0`.
+    fn sums(&self, lo: usize) -> (f64, f64) {
+        let sorted = self.intervals();
+        let below = sorted[..lo].iter().fold(0.0, |acc, &x| acc + x);
+        let total = sorted[lo..].iter().fold(below, |acc, &x| acc + x);
+        (below, total)
     }
 
     /// Number of recorded intervals `r_ij`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.samples.len() / 2
     }
 
     /// Whether no interval has been recorded yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.samples.is_empty()
     }
 
     /// Last meeting time `t0`, if the pair ever met.
     #[inline]
     pub fn last_meet(&self) -> Option<SimTime> {
-        self.last_meet
+        (self.last_meet > f64::NEG_INFINITY).then(|| SimTime::secs(self.last_meet))
     }
 
     /// Elapsed time since the last meeting, `t − t0` (`None` if never met).
     #[inline]
     pub fn elapsed(&self, now: SimTime) -> Option<f64> {
-        self.last_meet.map(|t0| now.since(t0))
+        self.last_meet().map(|t0| now.since(t0))
     }
 
     /// Unconditional mean interval `I_ij = (1/r) Σ Δt_k`, the MI entry.
     pub fn mean_interval(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(self.prefix[self.sorted.len()] / self.sorted.len() as f64)
-        }
+        let len = self.len();
+        (len > 0).then(|| self.sums(len).1 / len as f64)
     }
 
     /// `(m, mτ)` of Theorem 1 at time `now` for horizon `τ`.
@@ -120,9 +138,10 @@ impl PairHistory {
         let Some(e) = self.elapsed(now) else {
             return (0, 0);
         };
-        let lo = self.sorted.partition_point(|&x| x <= e);
-        let hi = self.sorted.partition_point(|&x| x <= e + tau);
-        (self.sorted.len() - lo, hi - lo)
+        let sorted = self.intervals();
+        let lo = sorted.partition_point(|&x| x <= e);
+        let hi = sorted.partition_point(|&x| x <= e + tau);
+        (sorted.len() - lo, hi - lo)
     }
 
     /// Eq. 4: probability of meeting this peer within `(now, now+τ]`,
@@ -143,18 +162,18 @@ impl PairHistory {
     /// pair is "overdue": elapsed exceeds every recorded interval).
     pub fn expected_meeting_delay(&self, now: SimTime) -> Option<f64> {
         let e = self.elapsed(now)?;
-        let lo = self.sorted.partition_point(|&x| x <= e);
-        let m = self.sorted.len() - lo;
+        let lo = self.intervals().partition_point(|&x| x <= e);
+        let m = self.len() - lo;
         if m == 0 {
             return None;
         }
-        let sum = self.prefix[self.sorted.len()] - self.prefix[lo];
-        Some(sum / m as f64 - e)
+        let (below, total) = self.sums(lo);
+        Some((total - below) / m as f64 - e)
     }
 
     /// The recorded intervals, ascending.
     pub fn intervals(&self) -> &[f64] {
-        &self.sorted
+        &self.samples[..self.len()]
     }
 }
 
@@ -404,5 +423,99 @@ mod tests {
         assert!(h.is_empty());
         h.record_meeting(SimTime::secs(10.0));
         assert_eq!(h.intervals(), &[5.0]);
+    }
+
+    #[test]
+    fn record_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<PairHistory>(), 32);
+    }
+
+    /// The layout the compact record replaced: arrival order, sorted copy
+    /// and prefix sums in three vectors.
+    struct ThreeVectors {
+        last_meet: Option<SimTime>,
+        recent: Vec<f64>,
+        sorted: Vec<f64>,
+        prefix: Vec<f64>,
+        window: usize,
+    }
+
+    impl ThreeVectors {
+        fn record_meeting(&mut self, now: SimTime) {
+            if let Some(prev) = self.last_meet {
+                let dt = now.since(prev);
+                if dt > 0.0 {
+                    if self.recent.len() == self.window {
+                        let evicted = self.recent.remove(0);
+                        let pos = self
+                            .sorted
+                            .binary_search_by(|x| x.total_cmp(&evicted))
+                            .unwrap();
+                        self.sorted.remove(pos);
+                    }
+                    self.recent.push(dt);
+                    let pos = self.sorted.partition_point(|&x| x < dt);
+                    self.sorted.insert(pos, dt);
+                    self.prefix.clear();
+                    self.prefix.push(0.0);
+                    let mut acc = 0.0;
+                    for &x in &self.sorted {
+                        acc += x;
+                        self.prefix.push(acc);
+                    }
+                }
+            }
+            self.last_meet = Some(now);
+        }
+
+        fn expected_meeting_delay(&self, now: SimTime) -> Option<f64> {
+            let e = now.since(self.last_meet?);
+            let lo = self.sorted.partition_point(|&x| x <= e);
+            let m = self.sorted.len() - lo;
+            (m > 0).then(|| (self.prefix[self.sorted.len()] - self.prefix[lo]) / m as f64 - e)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// Window eviction, means and EMDs equal the three-vector layout bit
+        /// for bit, with repeated intervals and same-instant re-meetings.
+        #[test]
+        fn compact_record_matches_three_vectors(
+            window in 1usize..6,
+            steps in proptest::collection::vec((0u32..4, 0.0f64..200.0), 0..40),
+            elapsed in proptest::collection::vec(0.0f64..300.0, 1..4),
+        ) {
+            let mut got = PairHistory::new(window);
+            let mut want = ThreeVectors {
+                last_meet: None,
+                recent: Vec::new(),
+                sorted: Vec::new(),
+                prefix: vec![0.0],
+                window,
+            };
+            let mut t = 0.0;
+            for (kind, gap) in steps {
+                // Kind 0 re-meets at once; kind 1 repeats a round gap.
+                t += match kind { 0 => 0.0, 1 => 25.0, _ => gap };
+                got.record_meeting(SimTime::secs(t));
+                want.record_meeting(SimTime::secs(t));
+                proptest::prop_assert_eq!(got.intervals(), want.sorted.as_slice());
+                proptest::prop_assert_eq!(got.last_meet(), want.last_meet);
+                let mean = want.prefix[want.sorted.len()] / want.sorted.len() as f64;
+                proptest::prop_assert_eq!(
+                    got.mean_interval().map(f64::to_bits),
+                    (!want.sorted.is_empty()).then(|| mean.to_bits())
+                );
+                for &e in &elapsed {
+                    let now = SimTime::secs(t + e);
+                    proptest::prop_assert_eq!(
+                        got.expected_meeting_delay(now).map(f64::to_bits),
+                        want.expected_meeting_delay(now).map(f64::to_bits)
+                    );
+                }
+            }
+        }
     }
 }

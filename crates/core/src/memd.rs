@@ -14,12 +14,14 @@
 //! The heap therefore returns, bit for bit, what a dense O(n²) Dijkstra over
 //! the same matrix returns.
 //!
-//! One solver instance owns its scratch buffers so repeated per-contact
-//! computations don't allocate.
+//! The Dijkstra scratch (finalized marks and the frontier heap) is kept once
+//! per thread and reused by every solve on it, so a router holds only its
+//! distance vector, and the solve writes straight into that vector.
 
 use crate::history::ContactHistory;
 use crate::mi::MiMatrix;
 use dtn_sim::{NodeId, SimTime};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -54,14 +56,113 @@ impl Ord for Frontier {
     }
 }
 
-/// Reusable heap-Dijkstra solver for MEMD queries.
+/// The working memory of one solve. Every solve resets what it reads, so
+/// nothing carries over from one solve to the next.
+#[derive(Debug, Default)]
+struct Scratch {
+    done: Vec<bool>,
+    heap: BinaryHeap<Frontier>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// MEMD from `src` over `mi`, with `src`'s row replaced by `own_row`
+/// (ascending by peer; non-finite weights are ignored), solved into `dist`
+/// on this thread's scratch. `restrict` limits the graph to a subset of
+/// nodes plus `src`.
+pub(crate) fn solve_into(
+    dist: &mut Vec<f64>,
+    src: NodeId,
+    mi: &MiMatrix,
+    own_row: impl IntoIterator<Item = (u32, f64)>,
+    restrict: Option<&[NodeId]>,
+) {
+    SCRATCH.with(|s| s.borrow_mut().solve(dist, src, mi, own_row, restrict));
+}
+
+impl Scratch {
+    fn solve(
+        &mut self,
+        dist: &mut Vec<f64>,
+        src: NodeId,
+        mi: &MiMatrix,
+        own_row: impl IntoIterator<Item = (u32, f64)>,
+        restrict: Option<&[NodeId]>,
+    ) {
+        let n = mi.n();
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        self.done.clear();
+        match restrict {
+            Some(nodes) => {
+                self.done.resize(n, true);
+                for v in nodes {
+                    self.done[v.idx()] = false;
+                }
+            }
+            None => self.done.resize(n, false),
+        }
+        // `done[v] = true` marks nodes outside the restricted set as already
+        // finalised (at ∞), so they are never relaxed through.
+        self.heap.clear();
+        // The source is finalized first, at 0, so its own row is read once,
+        // here, and never buffered.
+        dist[src.idx()] = 0.0;
+        self.done[src.idx()] = true;
+        self.relax(dist, 0.0, own_row);
+        while let Some(Frontier { dist: best, node }) = self.heap.pop() {
+            let u = node as usize;
+            if self.done[u] {
+                continue; // a stale entry: `u` was finalized at a smaller distance
+            }
+            self.done[u] = true;
+            self.relax(dist, best, mi.row_entries(NodeId(node)).iter().copied());
+        }
+    }
+
+    /// Relaxes the edges `row` out of a node finalized at `best`.
+    fn relax(&mut self, dist: &mut [f64], best: f64, row: impl IntoIterator<Item = (u32, f64)>) {
+        for (v, w) in row {
+            let vi = v as usize;
+            if self.done[vi] || !w.is_finite() {
+                continue;
+            }
+            let nd = best + w;
+            if nd < dist[vi] {
+                dist[vi] = nd;
+                self.heap.push(Frontier { dist: nd, node: v });
+            }
+        }
+    }
+}
+
+/// The entries of [`MemdSolver::build_emd_row`].
+pub(crate) fn emd_entries(
+    history: &ContactHistory,
+    now: SimTime,
+) -> impl Iterator<Item = (u32, f64)> + '_ {
+    let me = history.me();
+    history
+        .met()
+        .filter(move |&(j, _)| j != me)
+        .filter_map(move |(j, pair)| Some((j.0, pair.expected_meeting_delay(now)?.max(0.0))))
+}
+
+/// The entries of [`MemdSolver::build_mean_row`].
+pub(crate) fn mean_entries(history: &ContactHistory) -> impl Iterator<Item = (u32, f64)> + '_ {
+    let me = history.me().0;
+    history.mean_row().filter(move |&(j, _)| j != me)
+}
+
+/// A MEMD solver with its own distance vector and own row, for callers that
+/// read them back; the Dijkstra scratch is this thread's.
 #[derive(Clone, Debug, Default)]
 pub struct MemdSolver {
     dist: Vec<f64>,
-    done: Vec<bool>,
-    heap: BinaryHeap<Frontier>,
-    /// The source node's own `MD` row (Theorem 2 values), as finite entries
-    /// `(j, EMD_j)` ascending by peer.
+    /// The source node's own `MD` row, as finite entries `(j, w)` ascending
+    /// by peer.
     own_row: Vec<(u32, f64)>,
 }
 
@@ -82,14 +183,7 @@ impl MemdSolver {
     ///   to cause single-copy thrashing (see the `ablation emd` grid).
     pub fn build_emd_row(&mut self, history: &ContactHistory, now: SimTime) -> &[(u32, f64)] {
         self.own_row.clear();
-        for (j, pair) in history.met() {
-            if j == history.me() {
-                continue;
-            }
-            if let Some(d) = pair.expected_meeting_delay(now) {
-                self.own_row.push((j.0, d.max(0.0)));
-            }
-        }
+        self.own_row.extend(emd_entries(history, now));
         &self.own_row
     }
 
@@ -98,9 +192,7 @@ impl MemdSolver {
     /// grid uses to quantify what the correction buys.
     pub fn build_mean_row(&mut self, history: &ContactHistory) -> &[(u32, f64)] {
         self.own_row.clear();
-        let me = history.me().0;
-        self.own_row
-            .extend(history.mean_row().filter(|&(j, _)| j != me));
+        self.own_row.extend(mean_entries(history));
         &self.own_row
     }
 
@@ -119,51 +211,7 @@ impl MemdSolver {
         own_row: &[(u32, f64)],
         restrict: Option<&[NodeId]>,
     ) -> &[f64] {
-        let n = mi.n();
-        self.dist.clear();
-        self.dist.resize(n, f64::INFINITY);
-        self.done.clear();
-        match restrict {
-            Some(nodes) => {
-                self.done.resize(n, true);
-                for v in nodes {
-                    self.done[v.idx()] = false;
-                }
-                self.done[src.idx()] = false;
-            }
-            None => self.done.resize(n, false),
-        }
-        // `done[v] = true` marks nodes outside the restricted set as already
-        // finalised (at ∞), so they are never relaxed through.
-        self.heap.clear();
-        self.dist[src.idx()] = 0.0;
-        self.heap.push(Frontier {
-            dist: 0.0,
-            node: src.0,
-        });
-        while let Some(Frontier { dist: best, node }) = self.heap.pop() {
-            let u = node as usize;
-            if self.done[u] {
-                continue; // a stale entry: `u` was finalized at a smaller distance
-            }
-            self.done[u] = true;
-            let row = if u == src.idx() {
-                own_row
-            } else {
-                mi.row_entries(NodeId(node))
-            };
-            for &(v, w) in row {
-                let vi = v as usize;
-                if self.done[vi] || !w.is_finite() {
-                    continue;
-                }
-                let nd = best + w;
-                if nd < self.dist[vi] {
-                    self.dist[vi] = nd;
-                    self.heap.push(Frontier { dist: nd, node: v });
-                }
-            }
-        }
+        solve_into(&mut self.dist, src, mi, own_row.iter().copied(), restrict);
         &self.dist
     }
 
@@ -175,8 +223,9 @@ impl MemdSolver {
         now: SimTime,
         restrict: Option<&[NodeId]>,
     ) -> &[f64] {
-        self.build_emd_row(history, now);
-        self.memd_own_row(history.me(), mi, restrict)
+        let own_row = emd_entries(history, now);
+        solve_into(&mut self.dist, history.me(), mi, own_row, restrict);
+        &self.dist
     }
 
     /// As [`MemdSolver::memd_all`] but with the mean-interval own-row (no
@@ -187,15 +236,8 @@ impl MemdSolver {
         mi: &MiMatrix,
         restrict: Option<&[NodeId]>,
     ) -> &[f64] {
-        self.build_mean_row(history);
-        self.memd_own_row(history.me(), mi, restrict)
-    }
-
-    /// [`MemdSolver::memd_from`] with the own row last built.
-    fn memd_own_row(&mut self, src: NodeId, mi: &MiMatrix, restrict: Option<&[NodeId]>) -> &[f64] {
-        let row = std::mem::take(&mut self.own_row);
-        let _ = self.memd_from(src, mi, &row, restrict);
-        self.own_row = row;
+        let own_row = mean_entries(history);
+        solve_into(&mut self.dist, history.me(), mi, own_row, restrict);
         &self.dist
     }
 
