@@ -170,12 +170,32 @@ impl Cr {
         NodeId(self.communities.position(self.me))
     }
 
-    /// Publishes a new version of the own intra-MI row: the history means
-    /// towards the met peers of the own community.
-    fn refresh_own_row(&mut self, now: SimTime) {
+    /// Publishes a new version of the own intra-MI row, stamped `now`: the
+    /// history means towards the met peers of the own community. It is
+    /// republished on every same-community contact, so only the mean towards
+    /// `peer`, just met there, can have moved since the previous version,
+    /// and that one entry is spliced into it.
+    fn refresh_own_row(&mut self, peer: NodeId, now: SimTime) {
         let me = self.my_position();
-        let row = community_entries(&self.communities, self.me, self.history.mean_row());
-        self.intra_mi.set_row(me, row, now.as_secs());
+        let mean = self.history.pair(peer).mean_interval();
+        self.intra_mi.set_entry(
+            me,
+            NodeId(self.communities.position(peer)),
+            mean.unwrap_or(f64::INFINITY),
+            now.as_secs(),
+        );
+        debug_assert!(
+            self.intra_mi
+                .row_entries(me)
+                .iter()
+                .copied()
+                .eq(community_entries(
+                    &self.communities,
+                    self.me,
+                    self.history.mean_row()
+                )),
+            "spliced own row differs from the history means"
+        );
     }
 
     /// Solves MEMD′ over the intra-community MI into `dist`, from the own
@@ -350,7 +370,7 @@ impl Router for Cr {
         // this is the state-size reduction CR buys over EER. Both tables
         // span the same community, position for position.
         if self.communities.same_community(self.me, ctx.peer) {
-            self.refresh_own_row(now);
+            self.refresh_own_row(ctx.peer, now);
             let copied = self.intra_mi.merge_from(&peer_router.intra_mi);
             let community_size = self.intra_mi.n();
             ctx.control_bytes(8 * (copied * community_size + community_size) as u64);

@@ -165,11 +165,22 @@ impl Eer {
         self.history.eev(now, tau)
     }
 
-    /// Publishes a new version of this node's own MI row: the history means
-    /// towards its met peers.
-    fn refresh_own_row(&mut self, now: SimTime) {
+    /// Publishes a new version of this node's own MI row, stamped `now`: the
+    /// history means towards its met peers. Only the mean towards `peer`,
+    /// just met, can have moved since the previous version, so that one entry
+    /// is spliced into it.
+    fn refresh_own_row(&mut self, peer: NodeId, now: SimTime) {
+        let mean = self.history.pair(peer).mean_interval();
         self.mi
-            .set_row(self.me, self.history.mean_row(), now.as_secs());
+            .set_entry(self.me, peer, mean.unwrap_or(f64::INFINITY), now.as_secs());
+        debug_assert!(
+            self.mi
+                .row_entries(self.me)
+                .iter()
+                .copied()
+                .eq(self.history.mean_row()),
+            "spliced own row differs from the history means"
+        );
     }
 
     /// Re-solves this node's MEMD vector if the cached one is more than
@@ -193,12 +204,11 @@ impl Eer {
     fn eev_cached(&mut self, now: SimTime, tau: f64) -> f64 {
         let bits = tau.to_bits();
         let t = now.as_secs();
-        if let Some(&(_, at, v)) = self
+        if let Some(&(_, _, v)) = self
             .eev_cache
             .iter()
             .find(|(b, at, _)| *b == bits && t - at <= self.cfg.refresh)
         {
-            let _ = at;
             return v;
         }
         let v = self.history.eev(now, tau);
@@ -270,7 +280,7 @@ impl Router for Eer {
 
         // (1) History + own-row update, (2) MI exchange.
         self.history.record_meeting(ctx.peer, now);
-        self.refresh_own_row(now);
+        self.refresh_own_row(ctx.peer, now);
         let copied = self.mi.merge_from(&peer_router.mi);
         // Control accounting: each adopted row is n entries + a stamp; the
         // freshness comparison itself costs one stamp per row.

@@ -16,7 +16,8 @@
 //! The interval window is kept sorted, so the counts `m` and `mτ` are two
 //! binary searches — O(log W) — which matters because EER evaluates EEVs per
 //! message per contact. The sums behind `EMD` and `I_ij` walk the sorted
-//! window (W ≤ 32 by default) once per own-row build.
+//! window (W ≤ 32 by default): `EMD` once per peer per own-row build, `I_ij`
+//! once per contact, for the one entry an own `MI` row republishes.
 
 use dtn_sim::{NodeId, SimTime};
 

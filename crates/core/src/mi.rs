@@ -98,14 +98,25 @@ impl MiMatrix {
     /// Updates a single entry of row `i` (stamping the row with `time`, which
     /// never moves the stamp backwards). A non-finite `value` makes the entry
     /// unknown; the diagonal stays 0.
+    ///
+    /// The new version is the old one with entry `j` spliced in, replaced or
+    /// out, built in one allocation. If entry `j` keeps its bits, the row
+    /// keeps its version and only the stamp moves.
     pub fn set_entry(&mut self, i: NodeId, j: NodeId, value: f64, time: f64) {
         let old = self.row_entries(i);
-        let mut row: Vec<(u32, f64)> = old.iter().copied().filter(|&(c, _)| c != j.0).collect();
-        if i != j && value.is_finite() {
-            let pos = row.partition_point(|&(c, _)| c < j.0);
-            row.insert(pos, (j.0, value));
+        let at = old.partition_point(|&(c, _)| c < j.0);
+        let found = old.get(at).filter(|&&(c, _)| c == j.0).map(|&(_, v)| v);
+        let new = (i != j && value.is_finite()).then_some(value);
+        if found.map(f64::to_bits) != new.map(f64::to_bits) {
+            let rest = at + usize::from(found.is_some());
+            let row: Row = old[..at]
+                .iter()
+                .copied()
+                .chain(new.map(|v| (j.0, v)))
+                .chain(old[rest..].iter().copied())
+                .collect();
+            self.rows[i.idx()] = Some(row);
         }
-        self.rows[i.idx()] = Some(row.into());
         self.row_time[i.idx()] = self.row_time[i.idx()].max(time);
     }
 
@@ -253,6 +264,23 @@ mod tests {
         assert!(a.same_data(&b));
         assert_eq!(a.get(NodeId(1), NodeId(0)), 30.0);
         assert_eq!(b.get(NodeId(0), NodeId(2)), 20.0);
+    }
+
+    /// A splice that leaves every entry's bits as they were keeps the shared
+    /// version; one that changes a bit, even `0.0` to `-0.0`, makes a new one.
+    #[test]
+    fn set_entry_keeps_the_version_only_while_the_bits_stay() {
+        let mut m = MiMatrix::new(3);
+        m.set_row(NodeId(0), [(1, 0.0)], 1.0);
+        let before: *const [(u32, f64)] = m.row_entries(NodeId(0));
+        m.set_entry(NodeId(0), NodeId(1), 0.0, 2.0);
+        m.set_entry(NodeId(0), NodeId(2), f64::INFINITY, 3.0);
+        m.set_entry(NodeId(0), NodeId(0), 9.0, 4.0);
+        assert!(std::ptr::eq(before, m.row_entries(NodeId(0))));
+        assert_eq!(m.row_time(NodeId(0)), 4.0, "only the stamp moves");
+        m.set_entry(NodeId(0), NodeId(1), -0.0, 5.0);
+        assert!(!std::ptr::eq(before, m.row_entries(NodeId(0))));
+        assert_eq!(m.get(NodeId(0), NodeId(1)).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -291,6 +291,53 @@ fn memd_case() -> impl Strategy<
     })
 }
 
+/// A sparse row of at most 16 `(column, kind, int, float)` entries.
+fn sparse_row_strategy(n: usize) -> impl Strategy<Value = Vec<(usize, u32, u32, f64)>> {
+    proptest::collection::vec((0..n, 0u32..5, 0u32..4, 0.0f64..300.0), 0..17)
+}
+
+/// An own-row weight: `-0.0`, `0.0`, a negative integer or tenth, a
+/// non-finite value, or any `MI` weight.
+fn own_weight(kind: u32, int: u32, x: f64) -> f64 {
+    match kind {
+        0 => -0.0,
+        1 => 0.0,
+        2 => -f64::from(int + 1),
+        3 => -f64::from(int) / 10.0,
+        4 => [f64::NEG_INFINITY, f64::NAN, f64::INFINITY][int as usize % 3],
+        _ => weight(kind - 5, int, x),
+    }
+}
+
+/// A network of 30..250 nodes with sparse, tie-heavy rows: per-row entry
+/// specs, which rows were ever set, a source, the own row's entry specs and
+/// an optional restriction mask with its density.
+#[allow(clippy::type_complexity)]
+fn memd_case_at_scale() -> impl Strategy<
+    Value = (
+        Vec<Vec<(usize, u32, u32, f64)>>,
+        Vec<u32>,
+        usize,
+        Vec<(usize, u32, u32, f64)>,
+        Option<(u32, Vec<u32>)>,
+    ),
+> {
+    (30usize..250).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(sparse_row_strategy(n), n),
+            proptest::collection::vec(0u32..4, n),
+            0..n,
+            proptest::collection::vec((0..n, 0u32..10, 0u32..4, 0.0f64..300.0), 0..17),
+            (
+                any::<bool>(),
+                1u32..8,
+                proptest::collection::vec(0u32..8, n),
+            )
+                .prop_map(|(on, keep, mask)| on.then_some((keep, mask))),
+        )
+    })
+}
+
 /// One operation on one of three matrices (see `mi_ops_match_dense`).
 #[derive(Clone, Debug)]
 enum MiOp {
@@ -424,6 +471,47 @@ proptest! {
         let own_sparse = sparsify(&own_dense, src);
         let restrict: Option<Vec<NodeId>> = mask.map(|m| {
             (0..n as u32).filter(|&v| m[v as usize]).map(NodeId).collect()
+        });
+        let mut solver = MemdSolver::new();
+        let got = solver
+            .memd_from(NodeId(src as u32), &sparse, &own_sparse, restrict.as_deref())
+            .to_vec();
+        let want = dense::memd_from(src, &oracle, &own_dense, restrict.as_deref());
+        assert_bits(&got, &want, "memd");
+    }
+
+    /// (a′) The same at the sizes the heap reaches in a run, where a 4-ary
+    /// heap is several levels deep: sparse rows of up to 16 entries with
+    /// small integers, tenths and zeros, own rows holding `0.0`, `-0.0`,
+    /// negative and non-finite entries (the source's own among them), and
+    /// restriction masks of every density.
+    #[test]
+    fn heap_memd_matches_dense_at_scale(case in memd_case_at_scale()) {
+        let (rows, set, src, own, mask) = case;
+        let n = rows.len();
+        let mut sparse = MiMatrix::new(n as u32);
+        let mut oracle = dense::Mi::new(n);
+        for (i, spec) in rows.iter().enumerate() {
+            if set[i] != 0 {
+                let mut values = vec![f64::INFINITY; n];
+                for &(j, kind, int, x) in spec {
+                    values[j] = weight(kind, int, x);
+                }
+                sparse.set_row(NodeId(i as u32), (0..n as u32).zip(values.iter().copied()), 1.0);
+                oracle.set_row(i, &values, 1.0);
+            }
+        }
+        let mut own_row: Vec<Option<f64>> = vec![None; n];
+        for &(j, kind, int, x) in &own {
+            own_row[j] = Some(own_weight(kind, int, x));
+        }
+        let own_sparse: Vec<(u32, f64)> = (0..n as u32)
+            .zip(own_row.iter().copied())
+            .filter_map(|(j, w)| Some((j, w?)))
+            .collect();
+        let own_dense: Vec<f64> = own_row.iter().map(|w| w.unwrap_or(f64::INFINITY)).collect();
+        let restrict: Option<Vec<NodeId>> = mask.map(|(keep, m)| {
+            (0..n as u32).filter(|&v| m[v as usize] < keep).map(NodeId).collect()
         });
         let mut solver = MemdSolver::new();
         let got = solver
