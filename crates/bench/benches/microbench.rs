@@ -164,36 +164,6 @@ fn bench_contact_step(c: &mut Criterion) {
     }
 }
 
-/// The same 50-step detection batch through [`ShardedContactSource`] with a
-/// 4-worker pool, for comparison against `contact_step_n10000_x50`: the gap
-/// is the coordination overhead (or, on multi-core hosts, the speedup) of
-/// the sharded scan, which fans out only on the 7 rebuild steps.
-fn bench_contact_step_sharded(c: &mut Criterion) {
-    use dtn_sim::ContactSource;
-    let n = 10_000u32;
-    let cfg = ScenarioConfig {
-        duration: 60.0,
-        ..ScenarioConfig::city(n, ScenarioSpec::districts_for(n))
-    };
-    let parts = cfg.build_parts(1);
-    let steps = 50u32;
-    // 50 steps at dt = 0.2 → a 10 s window of the 60 s horizon.
-    let until = f64::from(steps) * cfg.contact.dt;
-    c.bench_function(&format!("contact_step_sharded_n{n}_x{steps}"), |b| {
-        b.iter(|| {
-            let mut src = dtn_mobility::ShardedContactSource::new(
-                parts.trajectories.clone(),
-                60.0,
-                cfg.contact,
-                4,
-            );
-            let mut out = Vec::new();
-            src.next_window(until, &mut out);
-            black_box(out.len())
-        })
-    });
-}
-
 /// SoA vs AoS buffer scans: `Buffer::contains` walks a dense id column,
 /// the reference walks full array-of-struct entries — the per-contact
 /// membership probe the engine does for every summary-vector exchange.
@@ -439,8 +409,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_estimators, bench_mi_merge, bench_memd,
-              bench_trace_generation, bench_contact_step,
-              bench_contact_step_sharded, bench_buffer_soa,
+              bench_trace_generation, bench_contact_step, bench_buffer_soa,
               bench_event_queue, bench_engine, bench_matrix_fabric,
               bench_store
 }

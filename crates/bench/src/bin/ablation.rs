@@ -122,7 +122,7 @@ const USAGE: &str = "usage: ablation <alpha|ttl-aware|emd|window|cr-state|lambda
                      buffer-policy|adaptive-lambda|detected-communities|grid <spec>...> \
                      [--seeds K] [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
                      [--workload paper|hotspot|bursty] [--duration SECS] \
-                     [--threads N] [--run-threads N] \
+                     [--threads N] \
                      [--store DIR|--no-store] \
                      [--out json:PATH|csv:PATH|md:PATH ...]";
 

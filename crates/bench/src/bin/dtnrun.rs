@@ -38,12 +38,8 @@ const USAGE: &str = "usage: dtnrun [flags]
   --alpha A            EER/CR horizon shorthand (same as :alpha=A)
   --trace PATH         shorthand for --scenario trace:PATH
   --buffer BYTES       per-node buffer capacity (default 1 MB)
-  --run-threads N      worker threads for the sharded contact scan on the
-                       streaming path (default 1: the scan runs on the
-                       simulation thread); results are bit-identical for
-                       every value
-  --progress-step SECS delivery-progress bucket (default: a tenth of the
-                       horizon)
+  --progress-step SECS delivery-progress bucket, one table row each
+                       (default: a fifth of the horizon)
   --probe SPEC         attach an observer to the run (repeatable):
                          timeseries[:dt=SECS]  delivery/overhead/occupancy
                                                curves sampled in-run
@@ -83,9 +79,7 @@ struct Args {
     lambda: Option<u32>,
     alpha: Option<f64>,
     buffer: Option<u64>,
-    /// `None` = one worker (no sharded scan pool).
-    run_threads: Option<u32>,
-    /// `None` = a tenth of the run's horizon.
+    /// `None` = a fifth of the run's horizon.
     progress_step: Option<f64>,
     probes: Vec<ProbeSpec>,
     outs: Vec<OutputSpec>,
@@ -109,7 +103,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         lambda: None,
         alpha: None,
         buffer: None,
-        run_threads: None,
         progress_step: None,
         probes: Vec::new(),
         outs: Vec::new(),
@@ -134,12 +127,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--trace" => out.scenario = Some(format!("trace:{}", val("--trace")?)),
             "--buffer" => {
                 out.buffer = Some(CommonArgs::parse_number("--buffer", &val("--buffer")?)?)
-            }
-            "--run-threads" => {
-                out.run_threads = Some(CommonArgs::parse_number(
-                    "--run-threads",
-                    &val("--run-threads")?,
-                )?)
             }
             "--progress-step" => {
                 let v = val("--progress-step")?;
@@ -242,9 +229,6 @@ fn main() {
         // the true horizon.
         spec = spec.with_duration(d);
     }
-    if let Some(t) = args.run_threads {
-        spec = spec.with_run_threads(t);
-    }
     let title = format!("dtnrun: {} on {}", args.protocol, spec.scenario);
 
     let store = resolve_store(args.store.as_deref(), args.no_store).filter(|_| spec.storable());
@@ -270,14 +254,8 @@ fn main() {
 
     let cache = ScenarioCache::new();
     if spec.streams() {
-        let threads = spec.effective_run_threads();
-        let mode = if threads > 1 {
-            format!("sharded contact detection ({threads} threads)")
-        } else {
-            "single-threaded contact detection".to_string()
-        };
         println!(
-            "protocol {}, scenario {scenario}, workload {}: streaming contact supply (the trace is never materialized), {mode}",
+            "protocol {}, scenario {scenario}, workload {}: streaming contact supply (the trace is never materialized)",
             args.protocol, args.workload
         );
     } else {
@@ -397,7 +375,7 @@ fn print_record(record: &RunRecord, origin: Origin<'_>, progress_step: Option<f6
     if let Origin::Live { stats, wall, .. } = &origin {
         println!("wall time        {wall:.2?}");
         let progress_step = progress_step.unwrap_or(if record.duration > 0.0 {
-            record.duration / 10.0
+            record.duration / 5.0
         } else {
             1.0
         });
@@ -407,9 +385,10 @@ fn print_record(record: &RunRecord, origin: Origin<'_>, progress_step: Option<f6
         );
         let prog = delivery_progress(stats, record.duration, progress_step);
         for (k, v) in prog.iter().enumerate() {
-            if k % 2 == 0 {
-                println!("  t={:>7.0}  delivered={v}", k as f64 * progress_step);
-            }
+            // A step that does not divide the horizon leaves a last, shorter
+            // bucket, which ends at the horizon.
+            let t = (k as f64 * progress_step).min(record.duration);
+            println!("  t={t:>7.0}  delivered={v}");
         }
     }
 

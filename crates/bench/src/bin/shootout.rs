@@ -12,7 +12,7 @@
 //! cargo run -p dtn-bench --release --bin shootout -- \
 //!     [--seeds K] [--nodes a,b,c] [--duration SECS] \
 //!     [--protocols eer,cr,...] [--workload paper|hotspot|bursty] \
-//!     [--threads N] [--run-threads N] \
+//!     [--threads N] \
 //!     [--trace <path>] [--out json:PATH|csv:PATH|md:PATH ...]
 //! ```
 //!
@@ -53,7 +53,6 @@ struct Args {
     outs: Vec<OutputSpec>,
     large_n: bool,
     threads: Option<usize>,
-    run_threads: Option<u32>,
     store: Option<String>,
     no_store: bool,
 }
@@ -104,7 +103,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         outs: Vec::new(),
         large_n: true,
         threads: None,
-        run_threads: None,
         store: None,
         no_store: false,
     };
@@ -134,12 +132,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--threads" => {
                 out.threads = Some(CommonArgs::parse_number("--threads", &val("--threads")?)?)
             }
-            "--run-threads" => {
-                out.run_threads = Some(CommonArgs::parse_number(
-                    "--run-threads",
-                    &val("--run-threads")?,
-                )?)
-            }
             "--store" => out.store = Some(val("--store")?),
             "--no-store" => out.no_store = true,
             "--help" | "-h" => return Ok(None),
@@ -166,7 +158,7 @@ fn main() {
                 "usage: shootout [--seeds K] [--nodes a,b,c] [--duration SECS] \
                  [--protocols eer,cr,...] [--workload paper|hotspot|bursty] [--trace <path>] \
                  [--probe timeseries[:dt=SECS]|latency ...] \
-                 [--threads N] [--run-threads N] \
+                 [--threads N] \
                  [--store DIR|--no-store] \
                  [--out json:PATH|csv:PATH|md:PATH ...] [--no-large-n]\n\
                  \n\
@@ -227,9 +219,6 @@ fn main() {
                 if let Some(d) = cell.duration {
                     spec = spec.with_duration(d);
                 }
-                if let Some(t) = args.run_threads {
-                    spec = spec.with_run_threads(t);
-                }
                 specs.push(spec);
             }
         }
@@ -238,30 +227,18 @@ fn main() {
     // Large-n supply cells: one flooding protocol on the city family at
     // n=1 000, 10 000 and 100 000 on short horizons, so the default shootout
     // stays laptop-sized while the BENCH trajectory tracks contact-supply
-    // throughput across revisions. The n=10⁵ cell runs the sharded scan (8
-    // workers); the smaller cells stay single-threaded, so the trajectory
-    // carries both modes.
+    // throughput across revisions.
     if args.large_n {
         let epidemic = ProtocolSpec::paper(ProtocolKind::Epidemic);
-        for (n, horizon, threads) in [
-            (1_000u32, 600.0, 1u32),
-            (10_000, 120.0, 1),
-            (100_000, 60.0, 8),
-        ] {
-            let label = if threads > 1 {
-                format!("{epidemic} @ city-large (sharded x{threads})")
-            } else {
-                format!("{epidemic} @ city-large")
-            };
+        for (n, horizon) in [(1_000u32, 600.0), (10_000, 120.0), (100_000, 60.0)] {
             specs.push(
                 RunSpec::on(
-                    label,
+                    format!("{epidemic} @ city-large"),
                     ScenarioSpec::city(n, ScenarioSpec::districts_for(n)),
                     epidemic.clone(),
                 )
                 .with_workload(args.workload.clone())
-                .with_duration(horizon)
-                .with_run_threads(threads),
+                .with_duration(horizon),
             );
         }
     }

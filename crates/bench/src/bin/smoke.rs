@@ -5,6 +5,8 @@
 //! cargo run -p bench --release --bin smoke -- [n_nodes] [seed] \
 //!     [--scenario paper|rwp|trace:<path>] \
 //!     [--workload paper|hotspot|bursty] [--duration SECS] \
+//!     [--probe timeseries[:dt=SECS]|latency ...] \
+//!     [--store DIR|--no-store] \
 //!     [--out json:PATH|csv:PATH|md:PATH ...]
 //! ```
 //!
@@ -26,7 +28,6 @@ fn main() {
     let mut duration: Option<f64> = None;
     let mut probes: Vec<ProbeSpec> = Vec::new();
     let mut outs: Vec<OutputSpec> = Vec::new();
-    let mut run_threads: Option<u32> = None;
     let mut store_dir: Option<String> = None;
     let mut no_store = false;
     let mut positional = 0;
@@ -54,12 +55,6 @@ fn main() {
             }
             "--probe" => probes.push(ProbeSpec::parse(&val("--probe")).unwrap_or_else(|e| die(e))),
             "--out" => outs.push(OutputSpec::parse(&val("--out")).unwrap_or_else(|e| die(e))),
-            "--run-threads" => {
-                run_threads = Some(
-                    CommonArgs::parse_number("--run-threads", &val("--run-threads"))
-                        .unwrap_or_else(|e| die(e)),
-                )
-            }
             "--store" => store_dir = Some(val("--store")),
             "--no-store" => no_store = true,
             "--help" | "-h" => {
@@ -67,7 +62,6 @@ fn main() {
                     "usage: smoke [n_nodes] [seed] [--scenario paper|rwp|trace:<path>] \
                      [--workload paper|hotspot|bursty] [--duration SECS] \
                      [--probe timeseries[:dt=SECS]|latency ...] \
-                     [--run-threads N] \
                      [--store DIR|--no-store] \
                      [--out json:PATH|csv:PATH|md:PATH ...]"
                 );
@@ -101,9 +95,6 @@ fn main() {
                 .with_probes(probes.clone());
             if let Some(d) = duration {
                 spec = spec.with_duration(d);
-            }
-            if let Some(t) = run_threads {
-                spec = spec.with_run_threads(t);
             }
             spec
         })

@@ -156,11 +156,6 @@ pub struct CommonArgs {
     /// Sweep worker threads (`--threads`); `None` = the
     /// [`SweepConfig`](crate::SweepConfig) default (available parallelism).
     pub threads: Option<usize>,
-    /// Per-run contact-scan threads (`--run-threads`), forwarded to every
-    /// spec via [`CommonArgs::configure`]; `None` = one worker. Results are
-    /// bitwise identical either way — both thread counts are execution
-    /// knobs, never cell identity.
-    pub run_threads: Option<u32>,
     /// Result-store root override (`--store DIR`); `None` = the default
     /// root ([`crate::DEFAULT_STORE_ROOT`]) unless [`CommonArgs::no_store`].
     pub store: Option<String>,
@@ -177,7 +172,7 @@ impl CommonArgs {
                                      [--workload paper|hotspot|bursty] [--duration SECS] \
                                      [--out json:PATH|csv:PATH|md:PATH ...] \
                                      [--probe timeseries[:dt=SECS]|latency ...] \
-                                     [--threads N] [--run-threads N] \
+                                     [--threads N] \
                                      [--store DIR|--no-store] \
                                      [--print-settings]";
 
@@ -197,7 +192,6 @@ impl CommonArgs {
             probes: Vec::new(),
             print_settings: false,
             threads: None,
-            run_threads: None,
             store: None,
             no_store: false,
         };
@@ -250,10 +244,6 @@ impl CommonArgs {
                 "--threads" => {
                     let v = it.next().ok_or("--threads needs a value")?;
                     out.threads = Some(Self::parse_number("--threads", &v)?);
-                }
-                "--run-threads" => {
-                    let v = it.next().ok_or("--run-threads needs a value")?;
-                    out.run_threads = Some(Self::parse_number("--run-threads", &v)?);
                 }
                 "--store" => {
                     let v = it.next().ok_or("--store needs a directory")?;
@@ -339,16 +329,13 @@ impl CommonArgs {
     }
 
     /// Applies the shared per-spec flags to one sweep cell: workload,
-    /// probes, duration override, and the execution knob `--run-threads`.
+    /// probes and duration override.
     pub fn configure(&self, spec: crate::RunSpec) -> crate::RunSpec {
         let mut spec = spec
             .with_workload(self.workload.clone())
             .with_probes(self.probes.clone());
         if let Some(d) = self.duration {
             spec = spec.with_duration(d);
-        }
-        if let Some(t) = self.run_threads {
-            spec = spec.with_run_threads(t);
         }
         spec
     }
@@ -513,26 +500,19 @@ mod tests {
         assert!(CommonArgs::parse(["--store".to_string()].into_iter()).is_err());
     }
 
-    /// The execution flags parse, reach `SweepConfig`/`RunSpec` through the
-    /// helpers, and never perturb cell identity.
+    /// The execution flag `--threads` parses, reaches `SweepConfig`, and
+    /// never perturbs cell identity.
     #[test]
     fn execution_flags_parse_and_configure() {
-        let args = CommonArgs::parse(
-            ["--threads", "4", "--run-threads", "2"]
-                .map(String::from)
-                .into_iter(),
-        )
-        .unwrap()
-        .unwrap();
+        let args = CommonArgs::parse(["--threads", "4"].map(String::from).into_iter())
+            .unwrap()
+            .unwrap();
         assert_eq!(args.threads, Some(4));
-        assert_eq!(args.run_threads, Some(2));
         assert_eq!(args.sweep_config().threads, 4);
         assert_eq!(args.sweep_config().seeds, 3);
 
         let base = crate::RunSpec::new("EER", 8, crate::ProtocolSpec::parse("eer").unwrap());
-        let spec = args.configure(base.clone());
-        assert_eq!(spec.run_threads, Some(2));
-        assert_eq!(spec.cell_key(1), args.configure(base).cell_key(1));
+        assert_eq!(args.configure(base.clone()).cell_key(1), base.cell_key(1));
     }
 
     #[test]

@@ -96,12 +96,6 @@ pub struct RunSpec {
     /// run's [`SimStats`]. At most one probe per kind takes effect
     /// ([`RunSpec::effective_probes`]).
     pub probes: Vec<ProbeSpec>,
-    /// Worker threads for the sharded contact scan on the streaming path
-    /// (`None` = one: the scan runs on the simulation thread, without the
-    /// worker pool — see [`RunSpec::effective_run_threads`]).
-    /// Results are bit-identical for every value, so this is *execution*
-    /// configuration, deliberately excluded from [`RunSpec::cell_key`].
-    pub run_threads: Option<u32>,
     /// Always `None`: observers are always called inline, and the type
     /// admits no other value. Kept only because the benchmark package
     /// asserts it is unset; it goes after the next benchmark change.
@@ -126,7 +120,6 @@ impl RunSpec {
             duration: None,
             communities: CommunitySource::default(),
             probes: Vec::new(),
-            run_threads: None,
             ring_drain: None,
         }
     }
@@ -177,21 +170,26 @@ impl RunSpec {
         self
     }
 
-    /// Sets the worker-thread count for the sharded contact scan on the
-    /// streaming path. Purely an execution knob: results are bit-identical
-    /// for every value (see `dtn_mobility::shard`), so it never enters the
-    /// cell key.
-    pub fn with_run_threads(mut self, threads: u32) -> Self {
-        self.run_threads = Some(threads);
+    /// Returns the spec unchanged: every run scans its contacts on the
+    /// simulation thread, so the only worker count this admits is one. Kept
+    /// only because the benchmark package calls it; it goes with ROADMAP
+    /// item 7's benchmark change.
+    ///
+    /// # Panics
+    /// Panics if `threads` is not 1.
+    pub fn with_run_threads(self, threads: u32) -> Self {
+        assert_eq!(
+            threads, 1,
+            "the sharded contact scan is removed; a run scans on one thread"
+        );
         self
     }
 
-    /// The thread count [`run_stream`] actually uses: an explicit
-    /// [`RunSpec::run_threads`] (clamped to ≥ 1), else one — the scan runs
-    /// on the simulation thread and the sharded pool starts only when asked
-    /// for.
+    /// Always 1: every run scans its contacts on the simulation thread. Kept
+    /// only because the benchmark package calls it; it goes with ROADMAP
+    /// item 7's benchmark change.
     pub fn effective_run_threads(&self) -> u32 {
-        self.run_threads.unwrap_or(1).max(1)
+        1
     }
 
     /// Whether [`run_cell`] streams this cell's contacts ([`run_stream`])
@@ -426,9 +424,7 @@ pub struct CellRun {
 /// materialized trace, which is exactly what streaming avoids. Ground-truth
 /// and fixed maps work unchanged.
 pub fn run_stream(spec: &RunSpec, seed: u64) -> Result<CellRun, String> {
-    let stream =
-        spec.scenario
-            .build_stream_threads(seed, spec.duration, spec.effective_run_threads())?;
+    let stream = spec.scenario.build_stream(seed, spec.duration)?;
     let communities = if spec.protocol.needs_communities() {
         Some(match &spec.communities {
             CommunitySource::GroundTruth => Arc::new(CommunityMap::new(stream.communities.clone())),
@@ -926,30 +922,6 @@ mod tests {
         assert_eq!(a.timeseries, b.timeseries, "first-of-kind cadence wins");
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.timeseries.unwrap().dt, 50.0);
-    }
-
-    /// The thread count is execution configuration, not cell identity: runs
-    /// are bit-identical at every value, so specs differing only in
-    /// `run_threads` must share a cache key.
-    #[test]
-    fn run_threads_is_not_a_cell_key_component() {
-        let base = RunSpec::on(
-            "Epidemic",
-            ScenarioSpec::city(24, 4),
-            ProtocolSpec::paper(ProtocolKind::Epidemic),
-        )
-        .with_duration(400.0);
-        let threaded = base.clone().with_run_threads(8);
-        assert_eq!(threaded.cell_key(1), base.cell_key(1));
-        assert_eq!(threaded.effective_run_threads(), 8);
-        assert_eq!(base.clone().with_run_threads(0).effective_run_threads(), 1);
-        // Unset means one worker at every size, trace replay included.
-        assert_eq!(base.effective_run_threads(), 1);
-        let big = RunSpec::new("Epidemic", 2, ProtocolSpec::paper(ProtocolKind::Epidemic))
-            .with_scenario(ScenarioSpec::parse("paper:n=10000", 2).unwrap());
-        assert_eq!(big.effective_run_threads(), 1);
-        let replay = base.with_scenario(ScenarioSpec::trace_path("x.trace"));
-        assert_eq!(replay.effective_run_threads(), 1);
     }
 
     /// One predicate chooses the contact supply: generated scenarios stream

@@ -1,6 +1,7 @@
 //! Command-line surfaces of the run binaries, driven through the real
-//! executables: usage errors name the flag and the value, and `dtnrun`'s
-//! delivery-progress table follows the run's horizon.
+//! executables: usage errors name the flag and the value, removed flags
+//! fail as unknown, and `dtnrun`'s delivery-progress table follows the
+//! run's horizon.
 
 use std::process::Command;
 
@@ -17,7 +18,7 @@ fn run(bin: &str, args: &[&str]) -> (i32, String, String) {
 #[test]
 fn numeric_flag_errors_name_the_flag_and_the_value() {
     let dtnrun = env!("CARGO_BIN_EXE_dtnrun");
-    for flag in ["--seed", "--buffer", "--run-threads", "--lambda"] {
+    for flag in ["--seed", "--buffer", "--lambda"] {
         let (code, _, err) = run(dtnrun, &[flag, "x", "--no-store"]);
         assert_eq!(code, 2, "{flag}: {err}");
         assert_eq!(
@@ -34,6 +35,27 @@ fn numeric_flag_errors_name_the_flag_and_the_value() {
     );
     assert_eq!(code, 2, "{err}");
     assert_eq!(err.trim(), "--seeds: invalid digit found in string, got x");
+}
+
+/// The sharded contact scan's `--run-threads` is gone: every binary that
+/// took it rejects it as an unknown flag rather than parsing a count. The
+/// bad `--duration` after it would fail differently if the flag were still
+/// read.
+#[test]
+fn removed_run_threads_flag_is_unknown() {
+    for bin in [
+        env!("CARGO_BIN_EXE_dtnrun"),
+        env!("CARGO_BIN_EXE_smoke"),
+        env!("CARGO_BIN_EXE_shootout"),
+        env!("CARGO_BIN_EXE_fig2"),
+    ] {
+        let (code, _, err) = run(bin, &["--run-threads", "1", "--duration", "x"]);
+        assert_eq!(code, 2, "{bin}: {err}");
+        assert!(
+            err.starts_with("unknown flag --run-threads"),
+            "{bin}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -54,16 +76,29 @@ fn smoke_rejects_unknown_flags_by_name() {
 fn progress_table_follows_the_horizon() {
     let dtnrun = env!("CARGO_BIN_EXE_dtnrun");
     let cell = ["--protocol", "direct", "--nodes", "8", "--no-store"];
+    let times = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter_map(|l| l.strip_prefix("  t="))
+            .map(|l| l.split_whitespace().next().unwrap_or("").to_string())
+            .collect()
+    };
     let (code, out, err) = run(dtnrun, &[&cell[..], &["--duration", "60"]].concat());
     assert_eq!(code, 0, "{err}");
-    assert!(out.contains("every 6 s"), "{out}");
-    let rows: Vec<&str> = out.lines().filter(|l| l.starts_with("  t=")).collect();
-    assert_eq!(rows.len(), 6, "{out}");
-    assert!(rows[5].starts_with("  t=     60"), "{out}");
+    assert!(out.contains("every 12 s"), "{out}");
+    assert_eq!(times(&out), ["0", "12", "24", "36", "48", "60"], "{out}");
     let (code, out, err) = run(
         dtnrun,
         &[&cell[..], &["--duration", "60", "--progress-step", "20"]].concat(),
     );
     assert_eq!(code, 0, "{err}");
     assert!(out.contains("every 20 s"), "{out}");
+    assert_eq!(times(&out), ["0", "20", "40", "60"], "{out}");
+    // A step that does not divide the horizon ends on the horizon, not past
+    // it.
+    let (code, out, err) = run(
+        dtnrun,
+        &[&cell[..], &["--duration", "60", "--progress-step", "25"]].concat(),
+    );
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(times(&out), ["0", "25", "50", "60"], "{out}");
 }

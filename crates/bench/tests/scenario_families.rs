@@ -177,58 +177,6 @@ fn timeseries_probe_is_thread_invariant_across_families() {
     }
 }
 
-/// A single run's thread count is invisible in its results: for every
-/// scenario family on the streaming path, a 1-thread and an N-thread
-/// `run_stream` produce bitwise-identical statistics, delivery stamps and
-/// probe outputs — the property that justifies excluding `run_threads` from
-/// the cell key.
-#[test]
-fn one_vs_many_run_threads_is_bitwise_identical() {
-    for scenario in [
-        ScenarioSpec::paper(24),
-        ScenarioSpec::city(60, 5),
-        ScenarioSpec::rwp(30),
-    ] {
-        let base = RunSpec::on(
-            "Epidemic",
-            scenario.clone(),
-            ProtocolSpec::paper(ProtocolKind::Epidemic),
-        )
-        .with_duration(900.0)
-        .with_probes(vec![
-            ProbeSpec::TimeSeries { dt: 120.0 },
-            ProbeSpec::LatencyHist,
-        ]);
-        for seed in [1, 7] {
-            let single = dtn_bench::run_stream(&base.clone().with_run_threads(1), seed).unwrap();
-            for threads in [4, 8] {
-                let spec = base.clone().with_run_threads(threads);
-                assert_eq!(spec.cell_key(seed), base.cell_key(seed));
-                let multi = dtn_bench::run_stream(&spec, seed).unwrap();
-                let ctx = format!("{scenario}, seed {seed}, {threads} threads");
-                assert_eq!(multi.n_nodes, single.n_nodes, "{ctx}");
-                assert_eq!(
-                    multi.output.stats.snapshot(),
-                    single.output.stats.snapshot(),
-                    "{ctx}: stats differ"
-                );
-                assert_eq!(
-                    multi.output.stats.delivered_at, single.output.stats.delivered_at,
-                    "{ctx}: delivery stamps differ"
-                );
-                assert_eq!(
-                    multi.output.timeseries, single.output.timeseries,
-                    "{ctx}: probe curves differ"
-                );
-                assert_eq!(
-                    multi.output.latency, single.output.latency,
-                    "{ctx}: latency histograms differ"
-                );
-            }
-        }
-    }
-}
-
 /// `dtnrun --scenario rwp --protocol eer` end-to-end equivalent at the
 /// library layer: an RWP spec resolves, runs and delivers through the same
 /// runner path the binary uses.

@@ -23,7 +23,9 @@
 //! then visits every pair of adjacent cells from one side only — a cell
 //! with itself, with its east neighbour and with the three cells below it —
 //! with no integer division and no hashing, and sorts the pairs it finds
-//! into the list. A step costs O(n + list) for the sparse densities of
+//! into the list. With fewer than three cells on an axis a cell pair can be
+//! reached from both of its cells, so a pair can be found twice; the sort
+//! deduplicates. A step costs O(n + list) for the sparse densities of
 //! vehicular scenarios and allocates nothing in steady state.
 //!
 //! Open contacts are a pair-sorted list. Each step merges it with the
@@ -151,6 +153,71 @@ impl FlatGrid {
     fn cell(&self, c: usize) -> Range<usize> {
         self.starts[c] as usize..self.starts[c + 1] as usize
     }
+
+    /// Pushes every pair of nodes within `reach` of each other onto `out`,
+    /// unsorted. `reach` must not exceed the cell side of the last build.
+    ///
+    /// Each table cell is scanned against itself, its east neighbour and the
+    /// three cells of the row below (all wrapped), skipping a neighbour that
+    /// is the cell itself or repeats an earlier one. Every pair of adjacent
+    /// cells is thereby scanned from one of its two cells: a west neighbour
+    /// scans the cell as its east, a cell in the row above as one of its
+    /// three below. With fewer than three cells on an axis a cell pair can
+    /// be scanned from both of its cells, so a pair can repeat.
+    fn pairs_within(&self, reach: f64, out: &mut Vec<NodePair>) {
+        let (cols, rows, starts) = (self.cols, self.rows, &self.starts);
+        let reach_sq = reach * reach;
+        let test = |a: usize, b: usize, out: &mut Vec<NodePair>| {
+            if self.points[a].dist_sq(self.points[b]) <= reach_sq {
+                out.push(NodePair::new(NodeId(self.items[a]), NodeId(self.items[b])));
+            }
+        };
+        for row in 0..rows {
+            let here = row * cols;
+            let below = if row + 1 == rows { 0 } else { (row + 1) * cols };
+            for col in 0..cols {
+                let c = here + col;
+                let own = self.cell(c);
+                if own.is_empty() {
+                    continue;
+                }
+                // Slot `a` of the cell pairs with the slots after it up to
+                // `tail` and with the slot ranges in `near`.
+                let tail;
+                let mut near: [Range<usize>; 4] = Default::default();
+                let mut k = 0;
+                if rows >= 2 && col >= 1 && col + 1 < cols {
+                    // Away from the table's edge columns, the cell and its
+                    // east neighbour are adjacent slot ranges, and so are
+                    // the three cells below.
+                    tail = starts[c + 2] as usize;
+                    near[0] = starts[below + col - 1] as usize..starts[below + col + 2] as usize;
+                    k = 1;
+                } else {
+                    tail = own.end;
+                    let west = if col == 0 { cols - 1 } else { col - 1 };
+                    let east = if col + 1 == cols { 0 } else { col + 1 };
+                    let cells = [here + east, below + west, below + col, below + east];
+                    for (i, &nb) in cells.iter().enumerate() {
+                        if nb != c && !cells[..i].contains(&nb) {
+                            near[k] = self.cell(nb);
+                            k += 1;
+                        }
+                    }
+                }
+                for a in own {
+                    for b in a + 1..tail {
+                        test(a, b, out);
+                    }
+                    for slots in &near[..k] {
+                        for b in slots.clone() {
+                            test(a, b, out);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The `(cols, rows)` of a table for a world `need_cols × need_rows` cells
@@ -214,16 +281,13 @@ fn neighbour_list_shape(trajs: &[Trajectory], cfg: ContactGenConfig) -> (u64, f6
 /// Owns all scratch state — per-trajectory cursor positions, the flat
 /// spatial grid, the neighbour list, the pair-sorted list of open contacts
 /// and its merge target — so that a steady-state [`ContactStepper::step`]
-/// performs zero heap allocations once buffers are warm. A step runs in
-/// three phases: `prepare_step` samples the positions and, on a rebuild
-/// step, rebuilds the grid; `scan_band` collects the pairs within `reach`
-/// of a band of grid rows; and `commit_step` installs them as the list on a
-/// rebuild step, then merges the listed pairs in range into the open
-/// contacts. [`ContactStepper::step`] runs the three with one band;
-/// [`crate::shard`] runs the scan on a worker pool. [`generate_trace`]
-/// drives the stepper to completion for the materialized path;
-/// [`crate::stream::MobilityContactSource`] drives it window-by-window so a
-/// run never holds the whole-horizon contact process in memory.
+/// performs zero heap allocations once buffers are warm. A step samples
+/// every position; on a rebuild step it bins them into the grid and lists
+/// the pairs within `reach`; then it merges the listed pairs in range into
+/// the open contacts. [`generate_trace`] drives the stepper to completion
+/// for the materialized path; [`crate::stream::MobilityContactSource`]
+/// drives it window-by-window so a run never holds the whole-horizon
+/// contact process in memory.
 #[derive(Debug)]
 pub struct ContactStepper {
     cfg: ContactGenConfig,
@@ -243,10 +307,8 @@ pub struct ContactStepper {
     neighbours: Vec<NodePair>,
     /// Open contacts `(pair, start time)`, sorted by pair.
     open: Vec<(NodePair, f64)>,
-    /// The merge target of the next commit; swapped with `open` after it.
+    /// The merge target of the next step; swapped with `open` after it.
     next_open: Vec<(NodePair, f64)>,
-    /// Pairs within `reach` of a rebuild step, for [`ContactStepper::step`].
-    candidates: Vec<NodePair>,
 }
 
 impl ContactStepper {
@@ -273,7 +335,6 @@ impl ContactStepper {
             neighbours: Vec::new(),
             open: Vec::new(),
             next_open: Vec::new(),
-            candidates: Vec::new(),
         }
     }
 
@@ -304,142 +365,7 @@ impl ContactStepper {
         downs: &mut Vec<Contact>,
         ups: &mut Vec<NodePair>,
     ) -> Option<f64> {
-        let scan = self.prepare_step(trajs)?;
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        if scan {
-            self.scan_band(0, 1, &mut candidates);
-        }
-        let t = self.commit_step(&mut candidates, downs, ups);
-        self.candidates = candidates;
-        t
-    }
-
-    /// Whether the current step rebuilds the neighbour list.
-    #[inline]
-    fn rebuilds(&self) -> bool {
-        self.step.is_multiple_of(self.period)
-    }
-
-    /// Phase 1 of a step: advances every trajectory cursor to the next
-    /// sampling instant and, on a rebuild step, rebuilds the grid, without
-    /// touching the open contacts or the step counter.
-    ///
-    /// Returns `None` once the horizon has been finalized, `Some(true)` on a
-    /// rebuild step, when the grid is ready for
-    /// [`ContactStepper::scan_band`], and `Some(false)` otherwise — between
-    /// rebuilds and at the horizon close-out there is nothing to scan, so go
-    /// straight to [`ContactStepper::commit_step`].
-    pub(crate) fn prepare_step(&mut self, trajs: &[Trajectory]) -> Option<bool> {
         assert_eq!(trajs.len(), self.segs.len(), "trajectory set changed");
-        if self.finalized {
-            return None;
-        }
-        if self.step >= self.steps {
-            return Some(false);
-        }
-        let t = self.step as f64 * self.cfg.dt;
-        for (i, traj) in trajs.iter().enumerate() {
-            let mut cur = TrajectoryCursor::with_seg(traj, self.segs[i]);
-            self.positions[i] = cur.position_at(t);
-            self.segs[i] = cur.seg();
-        }
-        let rebuild = self.rebuilds();
-        if rebuild {
-            self.grid.build(&self.positions, self.reach);
-        }
-        Some(rebuild)
-    }
-
-    /// Phase 2 of a rebuild step: scans band `band` of `n_bands` horizontal
-    /// bands of grid rows, pushing every pair within `reach` found from a
-    /// cell of the band. Read-only, so any number of workers can scan
-    /// disjoint bands of one prepared step concurrently.
-    ///
-    /// Each table cell is scanned against itself, its east neighbour and the
-    /// three cells of the row below (all wrapped), skipping a neighbour that
-    /// is the cell itself or repeats an earlier one. Every pair of adjacent
-    /// cells is thereby scanned from exactly one of its two cells: a west
-    /// neighbour scans the cell as its east, a cell in the row above as one
-    /// of its three below. Every row lies in exactly one band, so the union
-    /// over the bands is exactly the pair set of the one-band scan that
-    /// [`ContactStepper::step`] runs — independently of `n_bands`. With fewer
-    /// than three cells on an axis a cell pair can be scanned from both of
-    /// its cells, so a pair can repeat; [`ContactStepper::commit_step`]
-    /// dedups.
-    pub(crate) fn scan_band(&self, band: usize, n_bands: usize, out: &mut Vec<NodePair>) {
-        let grid = &self.grid;
-        let (cols, rows, starts) = (grid.cols, grid.rows, &grid.starts);
-        let reach_sq = self.reach * self.reach;
-        let test = |a: usize, b: usize, out: &mut Vec<NodePair>| {
-            if grid.points[a].dist_sq(grid.points[b]) <= reach_sq {
-                out.push(NodePair::new(NodeId(grid.items[a]), NodeId(grid.items[b])));
-            }
-        };
-        for row in band * rows / n_bands..(band + 1) * rows / n_bands {
-            let here = row * cols;
-            let below = if row + 1 == rows { 0 } else { (row + 1) * cols };
-            for col in 0..cols {
-                let c = here + col;
-                let own = grid.cell(c);
-                if own.is_empty() {
-                    continue;
-                }
-                // Slot `a` of the cell pairs with the slots after it up to
-                // `tail` and with the slot ranges in `near`.
-                let tail;
-                let mut near: [Range<usize>; 4] = Default::default();
-                let mut k = 0;
-                if rows >= 2 && col >= 1 && col + 1 < cols {
-                    // Away from the table's edge columns, the cell and its
-                    // east neighbour are adjacent slot ranges, and so are
-                    // the three cells below.
-                    tail = starts[c + 2] as usize;
-                    near[0] = starts[below + col - 1] as usize..starts[below + col + 2] as usize;
-                    k = 1;
-                } else {
-                    tail = own.end;
-                    let west = if col == 0 { cols - 1 } else { col - 1 };
-                    let east = if col + 1 == cols { 0 } else { col + 1 };
-                    let cells = [here + east, below + west, below + col, below + east];
-                    for (i, &nb) in cells.iter().enumerate() {
-                        if nb != c && !cells[..i].contains(&nb) {
-                            near[k] = grid.cell(nb);
-                            k += 1;
-                        }
-                    }
-                }
-                for a in own {
-                    for b in a + 1..tail {
-                        test(a, b, out);
-                    }
-                    for slots in &near[..k] {
-                        for b in slots.clone() {
-                            test(a, b, out);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Phase 3 of a step: on a rebuild step installs the pairs the bands
-    /// found as the neighbour list, then merges the listed pairs in range
-    /// into the open contacts and emits `downs` sorted by `(start, pair)`
-    /// and `ups` sorted by pair. Also handles the horizon close-out step.
-    /// `candidates` is read only when [`ContactStepper::prepare_step`]
-    /// returned `Some(true)`. Returns the processed timestamp.
-    ///
-    /// On a rebuild step `candidates` is sorted and deduplicated, then
-    /// swapped with the previous list, which it holds on return; the
-    /// candidate *set* — not its order — determines the outcome, so the band
-    /// count and the workers' completion order can never change the result.
-    pub(crate) fn commit_step(
-        &mut self,
-        candidates: &mut Vec<NodePair>,
-        downs: &mut Vec<Contact>,
-        ups: &mut Vec<NodePair>,
-    ) -> Option<f64> {
         if self.finalized {
             return None;
         }
@@ -456,12 +382,20 @@ impl ContactStepper {
             end
         } else {
             let t = self.step as f64 * self.cfg.dt;
-            if self.rebuilds() {
+            for (i, traj) in trajs.iter().enumerate() {
+                let mut cur = TrajectoryCursor::with_seg(traj, self.segs[i]);
+                self.positions[i] = cur.position_at(t);
+                self.segs[i] = cur.seg();
+            }
+            if self.step.is_multiple_of(self.period) {
+                self.grid.build(&self.positions, self.reach);
+                self.neighbours.clear();
+                self.grid.pairs_within(self.reach, &mut self.neighbours);
                 // The key orders pairs as `NodePair`'s `Ord` does, in one
                 // compare.
-                candidates.sort_unstable_by_key(|p| (u64::from(p.a.0) << 32) | u64::from(p.b.0));
-                candidates.dedup();
-                std::mem::swap(&mut self.neighbours, candidates);
+                self.neighbours
+                    .sort_unstable_by_key(|p| (u64::from(p.a.0) << 32) | u64::from(p.b.0));
+                self.neighbours.dedup();
             }
             let range_sq = self.cfg.range * self.cfg.range;
             let positions = &self.positions;
@@ -707,10 +641,10 @@ mod tests {
         assert_eq!(downs, trace.contacts);
     }
 
-    /// Band partition ownership: for any band count, the union of the bands'
-    /// candidates equals the brute-force set of pairs within the stepper's
-    /// `reach` — no pair missed, none owned by two bands (in a world small
-    /// enough not to wrap the grid table).
+    /// The whole-table scan lists exactly the brute-force set of pairs
+    /// within the stepper's `reach` — no pair missed, none listed twice (in
+    /// a world small enough not to wrap the grid table) — and a rebuild step
+    /// installs that set as the neighbour list.
     #[test]
     fn band_scan_owns_every_pair_exactly_once() {
         // A lattice spread across many grid rows, with pairs deliberately
@@ -728,10 +662,14 @@ mod tests {
             }
         }
         let cfg = ContactGenConfig::default();
-        let probe = ContactStepper::new(&trajs, 10.0, cfg);
-        assert_eq!(probe.period, 8);
-        assert!(probe.reach > 12.5 && probe.reach < 13.0, "{}", probe.reach);
-        let reach_sq = probe.reach * probe.reach;
+        let mut stepper = ContactStepper::new(&trajs, 10.0, cfg);
+        assert_eq!(stepper.period, 8);
+        assert!(
+            stepper.reach > 12.5 && stepper.reach < 13.0,
+            "{}",
+            stepper.reach
+        );
+        let reach_sq = stepper.reach * stepper.reach;
 
         let mut brute: Vec<NodePair> = Vec::new();
         let mut out_of_range = 0;
@@ -748,68 +686,18 @@ mod tests {
         assert!(brute.len() > 20, "lattice should be well connected");
         assert!(out_of_range > 0, "the skin should list pairs out of range");
 
-        for n_bands in [1usize, 2, 3, 5, 8] {
-            let mut stepper = ContactStepper::new(&trajs, 10.0, cfg);
-            assert_eq!(stepper.prepare_step(&trajs), Some(true));
-            let mut union = Vec::new();
-            for band in 0..n_bands {
-                stepper.scan_band(band, n_bands, &mut union);
-            }
-            let raw_len = union.len();
-            union.sort_unstable();
-            union.dedup();
-            assert_eq!(
-                raw_len,
-                union.len(),
-                "{n_bands} bands produced duplicate candidates"
-            );
-            assert_eq!(union, brute, "{n_bands} bands missed or invented pairs");
-        }
-    }
-
-    /// The prepare/scan/commit decomposition reproduces the sequential
-    /// stepper's downs/ups streams bit for bit, including the horizon
-    /// close-out.
-    #[test]
-    fn phased_step_matches_sequential_step() {
-        let mut trajs = Vec::new();
-        for k in 0..8 {
-            trajs.push(Trajectory::new(vec![
-                (0.0, Point::new(k as f64 * 7.0, 0.0)),
-                (30.0, Point::new((7 - k) as f64 * 7.0, 12.0)),
-            ]));
-        }
-        let cfg = ContactGenConfig::default();
-
-        let mut seq = ContactStepper::new(&trajs, 30.0, cfg);
-        let mut seq_downs = Vec::new();
-        let mut seq_ups = Vec::new();
-        let mut phased = ContactStepper::new(&trajs, 30.0, cfg);
-        let mut ph_downs = Vec::new();
-        let mut ph_ups = Vec::new();
-        let mut cands = Vec::new();
-
-        loop {
-            let a = seq.step(&trajs, &mut seq_downs, &mut seq_ups);
-            let scan = phased.prepare_step(&trajs);
-            cands.clear();
-            if scan == Some(true) {
-                for band in 0..3 {
-                    phased.scan_band(band, 3, &mut cands);
-                }
-            }
-            let b = if scan.is_some() {
-                phased.commit_step(&mut cands, &mut ph_downs, &mut ph_ups)
-            } else {
-                None
-            };
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(seq_downs, ph_downs);
-        assert_eq!(seq_ups, ph_ups);
-        assert!(!seq_downs.is_empty());
+        let (mut downs, mut ups) = (Vec::new(), Vec::new());
+        assert_eq!(stepper.step(&trajs, &mut downs, &mut ups), Some(0.0));
+        assert_eq!(stepper.neighbours, brute);
+        // The raw scan of that rebuild's grid lists no pair twice.
+        let grid = &stepper.grid;
+        assert!(grid.cols >= 3 && grid.rows >= 3, "the table must not wrap");
+        let mut listed = Vec::new();
+        grid.pairs_within(stepper.reach, &mut listed);
+        let raw_len = listed.len();
+        listed.sort_unstable();
+        listed.dedup();
+        assert_eq!(raw_len, listed.len(), "the scan listed a pair twice");
+        assert_eq!(listed, brute, "the scan missed or invented pairs");
     }
 }

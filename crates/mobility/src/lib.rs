@@ -15,8 +15,6 @@
 //!   [`dtn_sim::ContactTrace`];
 //! * [`stream`] — [`MobilityContactSource`], the streaming
 //!   [`dtn_sim::ContactSource`] that feeds the engine window-by-window;
-//! * [`shard`] — [`ShardedContactSource`], the same stream scanned by a
-//!   worker pool, bit-identical at every thread count;
 //! * [`scenario`] — one-call scenario builders with community ground truth;
 //! * [`spec`] — first-class [`ScenarioSpec`]/[`WorkloadSpec`] values that
 //!   make scenario families and workloads cacheable and sweepable.
@@ -41,7 +39,6 @@ pub mod path;
 pub mod routes;
 pub mod rwp;
 pub mod scenario;
-pub mod shard;
 pub mod spec;
 pub mod spmbm;
 pub mod stream;
@@ -56,7 +53,6 @@ pub use path::PathFinder;
 pub use routes::{BusConfig, BusRoute};
 pub use rwp::RwpConfig;
 pub use scenario::{Scenario, ScenarioConfig, ScenarioParts};
-pub use shard::ShardedContactSource;
 pub use spec::{ScenarioSpec, StreamScenario, TraceSource, WorkloadSpec};
 pub use spmbm::SpmbmConfig;
 pub use stream::MobilityContactSource;

@@ -31,7 +31,6 @@ use crate::contacts::{generate_trace, ContactGenConfig};
 use crate::geometry::{Point, Rect};
 use crate::rwp::RwpConfig;
 use crate::scenario::{Scenario, ScenarioConfig};
-use crate::shard::ShardedContactSource;
 use crate::stream::MobilityContactSource;
 use crate::trajectory::Trajectory;
 use crate::RoadGraphBuilder;
@@ -349,38 +348,6 @@ impl ScenarioSpec {
     /// (see [`crate::stream`]); at city scale it is the only feasible path,
     /// since peak memory stays bounded by the generation window.
     pub fn build_stream(&self, seed: u64, duration: Option<f64>) -> Result<StreamScenario, String> {
-        self.build_stream_threads(seed, duration, 1)
-    }
-
-    /// Like [`ScenarioSpec::build_stream`], with the contact scan sharded
-    /// across `threads` workers ([`ShardedContactSource`]). The simulation
-    /// result is bit-identical for every thread count — which is exactly why
-    /// a run's thread count is not part of any cache key. `threads <= 1`
-    /// selects the plain single-threaded source; trace replay has no scan to
-    /// shard and ignores the parameter.
-    pub fn build_stream_threads(
-        &self,
-        seed: u64,
-        duration: Option<f64>,
-        threads: u32,
-    ) -> Result<StreamScenario, String> {
-        fn source(
-            trajs: Vec<Trajectory>,
-            duration: f64,
-            cfg: ContactGenConfig,
-            threads: u32,
-        ) -> Box<dyn ContactSource> {
-            if threads > 1 {
-                Box::new(ShardedContactSource::new(
-                    trajs,
-                    duration,
-                    cfg,
-                    threads as usize,
-                ))
-            } else {
-                Box::new(MobilityContactSource::new(trajs, duration, cfg))
-            }
-        }
         match self {
             ScenarioSpec::PaperBusCity { .. } | ScenarioSpec::City { .. } => {
                 let cfg = self.bus_config(duration);
@@ -390,7 +357,11 @@ impl ScenarioSpec {
                     duration: cfg.duration,
                     communities: parts.communities,
                     n_communities: parts.n_communities,
-                    source: source(parts.trajectories, cfg.duration, cfg.contact, threads),
+                    source: Box::new(MobilityContactSource::new(
+                        parts.trajectories,
+                        cfg.duration,
+                        cfg.contact,
+                    )),
                 })
             }
             ScenarioSpec::RandomWaypoint { n_nodes, range, .. } => {
@@ -401,15 +372,14 @@ impl ScenarioSpec {
                     duration: dur,
                     communities: vec![0; *n_nodes as usize],
                     n_communities: 1,
-                    source: source(
+                    source: Box::new(MobilityContactSource::new(
                         trajectories,
                         dur,
                         ContactGenConfig {
                             range: *range,
                             ..ContactGenConfig::default()
                         },
-                        threads,
-                    ),
+                    )),
                 })
             }
             ScenarioSpec::TraceReplay { source } => {
@@ -423,6 +393,26 @@ impl ScenarioSpec {
                 })
             }
         }
+    }
+
+    /// [`ScenarioSpec::build_stream`] for a caller that passes a worker
+    /// count, which must be 1: a stream scans its contacts on one thread.
+    /// Kept only because the benchmark package calls it; it goes with
+    /// ROADMAP item 7's benchmark change.
+    ///
+    /// # Panics
+    /// Panics if `threads` is not 1.
+    pub fn build_stream_threads(
+        &self,
+        seed: u64,
+        duration: Option<f64>,
+        threads: u32,
+    ) -> Result<StreamScenario, String> {
+        assert_eq!(
+            threads, 1,
+            "the sharded contact scan is removed; a stream scans on one thread"
+        );
+        self.build_stream(seed, duration)
     }
 
     /// The [`ScenarioConfig`] behind the bus-based variants, with the

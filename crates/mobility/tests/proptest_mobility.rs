@@ -7,7 +7,7 @@
 use dtn_mobility::contacts::{generate_trace, ContactGenConfig};
 use dtn_mobility::geometry::Point;
 use dtn_mobility::trajectory::{Trajectory, TrajectoryCursor};
-use dtn_mobility::{MobilityContactSource, ShardedContactSource};
+use dtn_mobility::MobilityContactSource;
 use dtn_sim::{
     Contact, ContactEvent, ContactSource, ContactTrace, NodeId, NodePair, TraceReplaySource,
 };
@@ -168,14 +168,13 @@ proptest! {
 
     /// Slow trajectories, whose neighbour list lives for several steps,
     /// agree with the brute-force reference at every `dt`, and their
-    /// streamed windows — which end at arbitrary steps between rebuilds, on
-    /// one worker or a pool — replay the materialized trace event for event.
+    /// streamed windows — which end at arbitrary steps between rebuilds —
+    /// replay the materialized trace event for event.
     #[test]
     fn slow_trajectories_match_brute_force_and_stream(
         trajs in proptest::collection::vec(slow_trajectory_strategy(), 2..8),
         dt in 0usize..3,
         window in 0.7f64..7.0,
-        threads in 1usize..4,
     ) {
         let trajs = with_pinned_twin(trajs);
         let duration = 30.0;
@@ -188,13 +187,9 @@ proptest! {
         // A stable sort by time puts both supplies in the engine's pop order.
         let mut replayed = drain(&mut TraceReplaySource::new(&trace), duration);
         replayed.sort_by_key(|e| e.at());
-        let mut seq = MobilityContactSource::new(trajs.clone(), duration, cfg);
-        let mut sharded = ShardedContactSource::new(trajs, duration, cfg, threads);
-        for src in [&mut seq as &mut dyn ContactSource, &mut sharded] {
-            let mut streamed = drain(src, window);
-            streamed.sort_by_key(|e| e.at());
-            prop_assert_eq!(&streamed, &replayed);
-        }
+        let mut streamed = drain(&mut MobilityContactSource::new(trajs, duration, cfg), window);
+        streamed.sort_by_key(|e| e.at());
+        prop_assert_eq!(streamed, replayed);
     }
 
     /// Cursor sampling equals random-access sampling at any monotone
@@ -228,23 +223,6 @@ proptest! {
         let p = traj.position_at(t);
         prop_assert!(p.x >= min_x - 1e-9 && p.x <= max_x + 1e-9);
         prop_assert!(p.y >= min_y - 1e-9 && p.y <= max_y + 1e-9);
-    }
-
-    /// The sharded contact source is bit-identical to the single-threaded
-    /// stream for arbitrary trajectories, thread counts and window sizes —
-    /// the equivalence that makes a run's thread count cache-key-invisible.
-    #[test]
-    fn sharded_source_matches_sequential_stream(
-        trajs in proptest::collection::vec(trajectory_strategy(), 2..10),
-        threads in 2usize..9,
-        window in 5.0f64..60.0,
-    ) {
-        let duration = 40.0;
-        let cfg = ContactGenConfig { range: 10.0, dt: 0.5 };
-        let mut seq = MobilityContactSource::new(trajs.clone(), duration, cfg);
-        let reference = drain(&mut seq, duration);
-        let mut sharded = ShardedContactSource::new(trajs, duration, cfg, threads);
-        prop_assert_eq!(drain(&mut sharded, window), reference);
     }
 
     /// Generated traces always validate, whatever the trajectories.
