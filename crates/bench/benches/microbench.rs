@@ -164,10 +164,11 @@ fn bench_contact_step(c: &mut Criterion) {
     }
 }
 
-/// SoA vs AoS buffer scans: `Buffer::contains` walks a dense id column,
-/// the reference walks full array-of-struct entries — the per-contact
-/// membership probe the engine does for every summary-vector exchange.
-fn bench_buffer_soa(c: &mut Criterion) {
+/// Buffer membership: `Buffer::contains` tests one word of the buffer's
+/// message-id bitset, the reference walks full array-of-struct entries —
+/// the probe of the peer's buffer that every offer scan makes once per own
+/// entry (the in-simulator summary-vector exchange).
+fn bench_buffer_contains(c: &mut Criterion) {
     use dtn_sim::{Buffer, BufferEntry, Message, MessageId};
     let entries: Vec<BufferEntry> = (0..40u32)
         .map(|i| BufferEntry {
@@ -184,17 +185,17 @@ fn bench_buffer_soa(c: &mut Criterion) {
             hops: i % 5,
         })
         .collect();
-    let mut soa = Buffer::new(64 * 1024 * 1024);
+    let mut buf = Buffer::new(64 * 1024 * 1024);
     for e in &entries {
-        soa.insert(*e).unwrap();
+        buf.insert(*e).unwrap();
     }
     let aos = entries;
     let probes: Vec<MessageId> = (0..256u32).map(|k| MessageId(k % 128)).collect();
-    c.bench_function("buffer_contains_soa_40x256", |b| {
+    c.bench_function("buffer_contains_bitset_40x256", |b| {
         b.iter(|| {
             let mut hits = 0usize;
             for &id in &probes {
-                hits += usize::from(soa.contains(id));
+                hits += usize::from(buf.contains(id));
             }
             black_box(hits)
         })
@@ -409,7 +410,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_estimators, bench_mi_merge, bench_memd,
-              bench_trace_generation, bench_contact_step, bench_buffer_soa,
+              bench_trace_generation, bench_contact_step, bench_buffer_contains,
               bench_event_queue, bench_engine, bench_matrix_fabric,
               bench_store
 }

@@ -37,7 +37,7 @@ const USAGE: &str = "usage: dtnrun [flags]
   --lambda K           copy quota shorthand (same as :lambda=K)
   --alpha A            EER/CR horizon shorthand (same as :alpha=A)
   --trace PATH         shorthand for --scenario trace:PATH
-  --buffer BYTES       per-node buffer capacity (default 1 MB)
+  --buffer BYTES       per-node buffer capacity, at least 1 (default 1 MB)
   --progress-step SECS delivery-progress bucket, one table row each
                        (default: a fifth of the horizon)
   --probe SPEC         attach an observer to the run (repeatable):
@@ -126,7 +126,12 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--alpha" => out.alpha = Some(CommonArgs::parse_number("--alpha", &val("--alpha")?)?),
             "--trace" => out.scenario = Some(format!("trace:{}", val("--trace")?)),
             "--buffer" => {
-                out.buffer = Some(CommonArgs::parse_number("--buffer", &val("--buffer")?)?)
+                let v = val("--buffer")?;
+                let bytes: u64 = CommonArgs::parse_number("--buffer", &v)?;
+                if bytes == 0 {
+                    return Err(format!("--buffer: must be at least 1 byte, got {v}"));
+                }
+                out.buffer = Some(bytes);
             }
             "--progress-step" => {
                 let v = val("--progress-step")?;

@@ -29,6 +29,9 @@ fn numeric_flag_errors_name_the_flag_and_the_value() {
     let (code, _, err) = run(dtnrun, &["--progress-step", "0", "--no-store"]);
     assert_eq!(code, 2, "{err}");
     assert_eq!(err.trim(), "--progress-step: need a positive step, got 0");
+    let (code, _, err) = run(dtnrun, &["--buffer", "0", "--no-store"]);
+    assert_eq!(code, 2, "{err}");
+    assert_eq!(err.trim(), "--buffer: must be at least 1 byte, got 0");
     let (code, _, err) = run(
         env!("CARGO_BIN_EXE_shootout"),
         &["--seeds", "x", "--no-large-n", "--no-store"],

@@ -130,20 +130,17 @@ impl Router for Ebr {
         let peer_ev = self.peer_ev(ctx.peer)?;
         let my_ev = self.ev;
         let total = my_ev + peer_ev;
-        ctx.buf
-            .iter()
-            .filter(|e| e.copies > 1 && ctx.can_offer(e.msg.id))
-            .find_map(|e| {
-                let give = if total > 0.0 {
-                    (f64::from(e.copies) * peer_ev / total) as u32
-                } else {
-                    // No history on either side: split evenly, as the EBR
-                    // paper's cold-start behaviour.
-                    e.copies / 2
-                };
-                let give = give.min(e.copies - 1);
-                (give >= 1).then(|| TransferPlan::split(e.msg.id, give))
-            })
+        ctx.offers().filter(|e| e.copies > 1).find_map(|e| {
+            let give = if total > 0.0 {
+                (f64::from(e.copies) * peer_ev / total) as u32
+            } else {
+                // No history on either side: split evenly, as the EBR
+                // paper's cold-start behaviour.
+                e.copies / 2
+            };
+            let give = give.min(e.copies - 1);
+            (give >= 1).then(|| TransferPlan::split(e.msg.id, give))
+        })
     }
 }
 

@@ -36,10 +36,7 @@ impl Router for Epidemic {
             return Some(plan);
         }
         // Replicate anything the peer misses, oldest first.
-        ctx.buf
-            .iter()
-            .find(|e| ctx.can_offer(e.msg.id))
-            .map(|e| TransferPlan::copy(e.msg.id))
+        ctx.offers().next().map(|e| TransferPlan::copy(e.msg.id))
     }
 }
 

@@ -63,11 +63,8 @@ impl Router for FirstContact {
         if let Some(plan) = deliver_forward(ctx) {
             return Some(plan);
         }
-        ctx.buf
-            .iter()
-            .find(|e| {
-                ctx.can_offer(e.msg.id) && self.received_from.get(&e.msg.id) != Some(&ctx.peer)
-            })
+        ctx.offers()
+            .find(|e| self.received_from.get(&e.msg.id) != Some(&ctx.peer))
             .map(|e| TransferPlan::forward(e.msg.id))
     }
 }

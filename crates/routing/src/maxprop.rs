@@ -289,11 +289,6 @@ fn cmp_priority(a: (u32, f64), b: (u32, f64)) -> Ordering {
     a.0.cmp(&b.0).then(a.1.total_cmp(&b.1))
 }
 
-/// Whether `e` may be offered to the peer and is not known delivered.
-fn offerable(ctx: &ContactCtx<'_>, acked: &Acks, e: &BufferEntry) -> bool {
-    ctx.can_offer(e.msg.id) && !acked.contains(e.msg.id)
-}
-
 impl Router for MaxProp {
     fn label(&self) -> &'static str {
         "MaxProp"
@@ -313,12 +308,8 @@ impl Router for MaxProp {
         self.adopt_fresher(ctx.peer, peer_router, now);
         // Ack merge and purge of known-delivered messages.
         self.acked.union_with(&peer_router.acked);
-        ctx.purge.extend(
-            ctx.buf
-                .iter()
-                .filter(|e| self.acked.contains(e.msg.id))
-                .map(|e| e.msg.id),
-        );
+        ctx.purge
+            .extend(ctx.buf.ids().iter().filter(|&&id| self.acked.contains(id)));
         if now - self.cost_time > self.cfg.cost_refresh {
             self.refresh(now);
         }
@@ -340,7 +331,7 @@ impl Router for MaxProp {
         // first with the fewest hops, and no cost is read.
         let mut fresh: Option<(u32, MessageId)> = None;
         let mut travelled = false;
-        for e in ctx.buf.iter().filter(|e| offerable(ctx, &self.acked, e)) {
+        for e in ctx.offers().filter(|e| !self.acked.contains(e.msg.id)) {
             if e.hops >= self.cfg.hop_threshold {
                 travelled = true;
             } else if fresh.is_none_or(|(hops, _)| e.hops < hops) {
@@ -354,9 +345,8 @@ impl Router for MaxProp {
             return None;
         }
         self.solve_costs();
-        ctx.buf
-            .iter()
-            .filter(|e| offerable(ctx, &self.acked, e))
+        ctx.offers()
+            .filter(|e| !self.acked.contains(e.msg.id))
             .min_by(|a, b| cmp_priority(self.priority(a), self.priority(b)))
             .map(|e| TransferPlan::copy(e.msg.id))
     }

@@ -133,11 +133,8 @@ impl Router for Prophet {
             return Some(plan);
         }
         let peer_vec = self.peer_vector(ctx.peer)?;
-        ctx.buf
-            .iter()
-            .find(|e| {
-                ctx.can_offer(e.msg.id) && peer_vec[e.msg.dst.idx()] > self.p[e.msg.dst.idx()]
-            })
+        ctx.offers()
+            .find(|e| peer_vec[e.msg.dst.idx()] > self.p[e.msg.dst.idx()])
             .map(|e| TransferPlan::copy(e.msg.id))
     }
 }

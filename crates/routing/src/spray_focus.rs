@@ -149,20 +149,14 @@ impl Router for SprayAndFocus {
             return Some(plan);
         }
         // Spray phase.
-        if let Some(e) = ctx
-            .buf
-            .iter()
-            .find(|e| e.copies > 1 && ctx.can_offer(e.msg.id))
-        {
+        if let Some(e) = ctx.offers().find(|e| e.copies > 1) {
             return Some(TransferPlan::split(e.msg.id, (e.copies / 2).max(1)));
         }
         // Focus phase: forward single copies towards fresher timers.
         let peer_ages = self.peer_ages(ctx.peer)?;
-        ctx.buf
-            .iter()
+        ctx.offers()
             .find(|e| {
                 e.copies == 1
-                    && ctx.can_offer(e.msg.id)
                     && peer_ages[e.msg.dst.idx()] + self.utility_threshold
                         < self.age_of(e.msg.dst, ctx.now)
             })

@@ -63,13 +63,10 @@ impl Router for SprayAndWait {
             return Some(plan);
         }
         debug_assert!(find_deliverable(ctx).is_none());
-        ctx.buf
-            .iter()
-            .find(|e| e.copies > 1 && ctx.can_offer(e.msg.id))
-            .map(|e| {
-                let give = if self.binary { e.copies / 2 } else { 1 };
-                TransferPlan::split(e.msg.id, give.max(1))
-            })
+        ctx.offers().find(|e| e.copies > 1).map(|e| {
+            let give = if self.binary { e.copies / 2 } else { 1 };
+            TransferPlan::split(e.msg.id, give.max(1))
+        })
     }
 }
 

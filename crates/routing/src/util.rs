@@ -6,9 +6,8 @@ use dtn_sim::{ContactCtx, MessageId, TransferPlan};
 /// not yet been sent during this contact — the universal "deliver first" rule.
 pub fn find_deliverable(ctx: &ContactCtx<'_>) -> Option<MessageId> {
     ctx.buf
-        .iter()
-        .find(|e| e.msg.dst == ctx.peer && !ctx.sent.contains(&e.msg.id))
-        .map(|e| e.msg.id)
+        .destined_to(ctx.peer)
+        .find(|id| !ctx.sent.contains(id))
 }
 
 /// Plans a custody-transferring delivery of the first deliverable message.

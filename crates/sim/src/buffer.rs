@@ -1,18 +1,28 @@
 //! Per-node message buffers with byte-capacity accounting.
 //!
-//! Storage is structure-of-arrays: the fields the hot paths scan —
-//! membership (`ids`), expiry, routing metadata — live in parallel columns,
-//! and the full [`Message`] sits in a cold column touched only when a scan
-//! has already matched. A membership probe during a contact then walks a
-//! dense `Vec<MessageId>` (4 bytes/entry) instead of striding over 48-byte
-//! entries, which is what keeps per-contact cache traffic flat as node and
-//! message counts grow. Buffers hold at most a few tens of messages in the
-//! paper's scenarios (1 MB capacity, 25 KB messages), so linear lookups stay
-//! the right call — now over a column an order of magnitude denser.
+//! Storage is structure-of-arrays: the fields the hot paths scan — ids,
+//! expiry, routing metadata — live in parallel columns, and the full
+//! [`Message`] sits in a cold column touched only when a scan has already
+//! matched. Each scan reads only the column it tests: the TTL sweep walks
+//! the expiry column ([`Buffer::expired`]), deliver-first the message column
+//! ([`Buffer::destined_to`]), and a contact's offer scan the id column,
+//! assembling an entry view only for an id it keeps.
+//!
+//! Membership — "does this buffer hold message m?", asked once per entry of
+//! every offer scan, the in-simulator summary-vector exchange — is a bitset
+//! over the dense message-id space (ids are the workload arena's indices
+//! `0..M`): bit m is set on insert and cleared on remove, so
+//! [`Buffer::contains`] and the duplicate check of [`Buffer::insert`] are
+//! one word test. The bitset grows on insert to ⌈(largest id + 1)/64⌉ words
+//! and never shrinks, so a buffer spends at most M/8 bytes on it.
 //!
 //! Entries keep their insertion order; "oldest first" orderings
-//! ([`Buffer::summary_diff`], [`Buffer::destined_to`]) are part of the
-//! semantics, not an implementation accident.
+//! ([`Buffer::ids`], [`Buffer::iter`], [`Buffer::expired`],
+//! [`Buffer::destined_to`]) are part of the semantics, not an implementation
+//! accident. A lookup by id that needs the entry's slot walks the id column,
+//! after the bitset has said the id is present; buffers hold at most a few
+//! tens of messages in the paper's scenarios (1 MB capacity, 25 KB
+//! messages).
 
 use crate::ids::{MessageId, NodeId};
 use crate::message::Message;
@@ -55,7 +65,10 @@ pub enum DropReason {
 pub struct Buffer {
     capacity: u64,
     used: u64,
-    /// Membership column: the only data a contains/diff scan touches.
+    /// Membership bitset: bit `m % 64` of word `m / 64` is set iff message
+    /// `m` is buffered. Covers ids up to the largest one ever inserted.
+    members: Vec<u64>,
+    /// Ids in insertion order: the column offer scans walk.
     ids: Vec<MessageId>,
     /// Absolute expiry instants (`created + ttl`), for TTL sweeps.
     expiry: Vec<SimTime>,
@@ -108,7 +121,10 @@ impl Buffer {
     /// Whether the buffer holds message `id`.
     #[inline]
     pub fn contains(&self, id: MessageId) -> bool {
-        self.ids.contains(&id)
+        let i = id.idx();
+        self.members
+            .get(i / 64)
+            .is_some_and(|&word| word >> (i % 64) & 1 == 1)
     }
 
     /// Assembles the entry view at slot `k`.
@@ -125,6 +141,9 @@ impl Buffer {
     /// The slot of `id`, if buffered.
     #[inline]
     fn slot(&self, id: MessageId) -> Option<usize> {
+        if !self.contains(id) {
+            return None;
+        }
         self.ids.iter().position(|&i| i == id)
     }
 
@@ -148,9 +167,40 @@ impl Buffer {
         (0..self.len()).map(|k| self.entry_at(k))
     }
 
+    /// The entries whose id passes `keep`, in insertion order. Only the id
+    /// column is read for an entry `keep` rejects.
+    #[inline]
+    pub(crate) fn iter_where<'s>(
+        &'s self,
+        mut keep: impl FnMut(MessageId) -> bool + 's,
+    ) -> impl Iterator<Item = BufferEntry> + 's {
+        self.ids
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &id)| keep(id))
+            .map(move |(k, _)| self.entry_at(k))
+    }
+
     /// The ids of all buffered messages, in insertion order.
-    pub fn ids(&self) -> Vec<MessageId> {
-        self.ids.clone()
+    #[inline]
+    pub fn ids(&self) -> &[MessageId] {
+        &self.ids
+    }
+
+    /// Ids of the messages expired at `now`, oldest first. Reads only the id
+    /// and expiry columns.
+    pub fn expired(&self, now: SimTime) -> impl Iterator<Item = MessageId> + '_ {
+        self.ids
+            .iter()
+            .zip(&self.expiry)
+            .filter(move |&(_, &expiry)| now > expiry)
+            .map(|(&id, _)| id)
+    }
+
+    /// Ids of the messages destined to `dst`, oldest first. Reads only the
+    /// message column.
+    pub fn destined_to(&self, dst: NodeId) -> impl Iterator<Item = MessageId> + '_ {
+        self.msgs.iter().filter(move |m| m.dst == dst).map(|m| m.id)
     }
 
     /// Whether an entry of `size` bytes would fit right now.
@@ -169,6 +219,11 @@ impl Buffer {
             return Err(entry);
         }
         debug_assert!(entry.copies >= 1);
+        let i = entry.msg.id.idx();
+        if self.members.len() <= i / 64 {
+            self.members.resize(i / 64 + 1, 0);
+        }
+        self.members[i / 64] |= 1 << (i % 64);
         self.used += u64::from(entry.msg.size);
         self.ids.push(entry.msg.id);
         self.expiry.push(entry.msg.expiry());
@@ -182,6 +237,8 @@ impl Buffer {
     /// Removes slot `k` from every column, returning the entry view.
     fn remove_at(&mut self, k: usize) -> BufferEntry {
         let entry = self.entry_at(k);
+        let i = entry.msg.id.idx();
+        self.members[i / 64] &= !(1 << (i % 64));
         self.ids.remove(k);
         self.expiry.remove(k);
         self.copies.remove(k);
@@ -196,40 +253,6 @@ impl Buffer {
     pub fn remove(&mut self, id: MessageId) -> Option<BufferEntry> {
         let k = self.slot(id)?;
         Some(self.remove_at(k))
-    }
-
-    /// Removes every expired message, invoking `on_drop` for each. Only the
-    /// expiry column is scanned; other columns are touched per actual drop.
-    pub fn sweep_expired(&mut self, now: SimTime, mut on_drop: impl FnMut(&BufferEntry)) {
-        let mut k = 0;
-        while k < self.expiry.len() {
-            if now > self.expiry[k] {
-                let entry = self.remove_at(k);
-                on_drop(&entry);
-            } else {
-                k += 1;
-            }
-        }
-    }
-
-    /// Ids of messages buffered here but absent from `peer` — the classic
-    /// epidemic "summary vector" difference, oldest first. Touches only the
-    /// two membership columns.
-    pub fn summary_diff(&self, peer: &Buffer) -> Vec<MessageId> {
-        self.ids
-            .iter()
-            .filter(|&&id| !peer.contains(id))
-            .copied()
-            .collect()
-    }
-
-    /// Ids of messages destined to `dst` and buffered here, oldest first.
-    pub fn destined_to(&self, dst: NodeId) -> Vec<MessageId> {
-        self.msgs
-            .iter()
-            .filter(|m| m.dst == dst)
-            .map(|m| m.id)
-            .collect()
     }
 }
 
@@ -290,6 +313,8 @@ mod tests {
         assert!(b.is_empty());
     }
 
+    /// The engine's TTL sweep: the expiry-column scan lists exactly the
+    /// expired ids (expiry is strict), and removing them leaves the rest.
     #[test]
     fn sweep_drops_only_expired() {
         let mut b = Buffer::new(1000);
@@ -307,23 +332,16 @@ mod tests {
             hops: 0,
         })
         .unwrap();
-        let mut dropped = vec![];
-        b.sweep_expired(SimTime::secs(100.0), |e| dropped.push(e.msg.id));
+        assert_eq!(b.expired(SimTime::secs(50.0)).count(), 0);
+        let dropped: Vec<MessageId> = b.expired(SimTime::secs(100.0)).collect();
         assert_eq!(dropped, vec![MessageId(0)]);
+        for id in dropped {
+            b.remove(id).unwrap();
+        }
         assert_eq!(b.len(), 1);
         assert_eq!(b.used(), 10);
         assert!(b.contains(MessageId(1)));
-    }
-
-    #[test]
-    fn summary_diff_lists_missing() {
-        let mut a = Buffer::new(1000);
-        let mut b = Buffer::new(1000);
-        a.insert(entry(0, 10)).unwrap();
-        a.insert(entry(1, 10)).unwrap();
-        b.insert(entry(1, 10)).unwrap();
-        assert_eq!(a.summary_diff(&b), vec![MessageId(0)]);
-        assert!(b.summary_diff(&a).is_empty());
+        assert!(!b.contains(MessageId(0)));
     }
 
     #[test]
@@ -333,8 +351,14 @@ mod tests {
         e.msg.dst = NodeId(5);
         b.insert(e).unwrap();
         b.insert(entry(1, 10)).unwrap();
-        assert_eq!(b.destined_to(NodeId(5)), vec![MessageId(0)]);
-        assert_eq!(b.destined_to(NodeId(1)), vec![MessageId(1)]);
+        assert_eq!(
+            b.destined_to(NodeId(5)).collect::<Vec<_>>(),
+            vec![MessageId(0)]
+        );
+        assert_eq!(
+            b.destined_to(NodeId(1)).collect::<Vec<_>>(),
+            vec![MessageId(1)]
+        );
     }
 
     /// Columns stay aligned through mixed insert/mutate/remove traffic, and
@@ -351,7 +375,7 @@ mod tests {
         *b.copies_mut(MessageId(2)).unwrap() = 3;
         assert!(b.copies_mut(MessageId(9)).is_none());
         b.remove(MessageId(1)).unwrap();
-        assert_eq!(b.ids(), vec![MessageId(0), MessageId(2), MessageId(3)]);
+        assert_eq!(b.ids(), [MessageId(0), MessageId(2), MessageId(3)]);
         let got: Vec<(MessageId, u32, u32)> =
             b.iter().map(|e| (e.msg.id, e.copies, e.hops)).collect();
         assert_eq!(

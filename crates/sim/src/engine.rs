@@ -691,12 +691,10 @@ impl Simulation {
 
         // The sender may have lost the message mid-flight (TTL sweep), or it
         // may have expired while on the air: the transfer is wasted.
-        let sender_has = self.buffers[from.idx()].contains(msg_id);
-        let expired = self.buffers[from.idx()]
+        let Some(entry) = self.buffers[from.idx()]
             .get(msg_id)
-            .map(|e| e.msg.expired(self.now))
-            .unwrap_or(true);
-        if !sender_has || expired {
+            .filter(|e| !e.msg.expired(self.now))
+        else {
             self.emit(SimEvent::Aborted {
                 at: self.now,
                 msg: msg_id,
@@ -705,9 +703,7 @@ impl Simulation {
             });
             self.try_fill(slot, from);
             return;
-        }
-
-        let entry = self.buffers[from.idx()].get(msg_id).expect("checked above");
+        };
         let msg = entry.msg;
 
         if to == msg.dst {
@@ -806,12 +802,7 @@ impl Simulation {
         for i in 0..self.n_nodes as usize {
             let node = NodeId(i as u32);
             expired.clear();
-            expired.extend(
-                self.buffers[i]
-                    .iter()
-                    .filter(|e| e.msg.expired(self.now))
-                    .map(|e| e.msg.id),
-            );
+            expired.extend(self.buffers[i].expired(self.now));
             for &id in &expired {
                 if let Some(entry) = self.buffers[i].remove(id) {
                     self.emit(SimEvent::Dropped {

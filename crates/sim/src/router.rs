@@ -161,6 +161,15 @@ impl ContactCtx<'_> {
     pub fn can_offer(&self, msg: MessageId) -> bool {
         self.buf.contains(msg) && !self.peer_buf.contains(msg) && !self.sent.contains(&msg)
     }
+
+    /// The entries that may be offered to the peer ([`Self::can_offer`]),
+    /// oldest first. Walks this buffer's id column and assembles an entry
+    /// only for an id the peer lacks and that was not yet sent during this
+    /// contact.
+    pub fn offers(&self) -> impl Iterator<Item = BufferEntry> + '_ {
+        self.buf
+            .iter_where(|id| !self.peer_buf.contains(id) && !self.sent.contains(&id))
+    }
 }
 
 /// A DTN routing protocol instance, one per node.
@@ -303,6 +312,52 @@ mod tests {
             TransferPlan::copy(MessageId(1)).action,
             TransferAction::Copy
         );
+    }
+
+    /// The offer scan yields exactly the entries `can_offer` admits, in
+    /// buffer order: not those the peer holds, nor those already sent.
+    #[test]
+    fn offers_are_the_offerable_entries_in_buffer_order() {
+        let entry = |id: u32| BufferEntry {
+            msg: Message {
+                id: MessageId(id),
+                src: NodeId(0),
+                dst: NodeId(2),
+                size: 10,
+                created: SimTime::ZERO,
+                ttl: 100.0,
+            },
+            copies: 1,
+            received_at: SimTime::ZERO,
+            hops: 0,
+        };
+        let (mut mine, mut theirs) = (Buffer::new(1_000), Buffer::new(1_000));
+        for id in [130, 5, 64, 7, 200] {
+            mine.insert(entry(id)).unwrap();
+        }
+        theirs.insert(entry(64)).unwrap();
+        let mut stamps = vec![u32::MAX; 256];
+        stamps[7] = 3;
+        let (mut stats, mut purge) = (SimStats::new(0), Vec::new());
+        let ctx = ContactCtx {
+            now: SimTime::ZERO,
+            me: NodeId(0),
+            peer: NodeId(1),
+            buf: &mine,
+            peer_buf: &theirs,
+            stats: &mut stats,
+            sent: SentSet::new(&stamps, 3),
+            purge: &mut purge,
+        };
+        let offered: Vec<MessageId> = ctx.offers().map(|e| e.msg.id).collect();
+        assert_eq!(offered, [MessageId(130), MessageId(5), MessageId(200)]);
+        let admitted: Vec<MessageId> = mine
+            .ids()
+            .iter()
+            .copied()
+            .filter(|&id| ctx.can_offer(id))
+            .collect();
+        assert_eq!(offered, admitted);
     }
 
     /// The default drop policy evicts oldest-received first.

@@ -70,6 +70,77 @@ proptest! {
         }
     }
 
+    /// `Buffer` agrees with a reference model — a plain `Vec<BufferEntry>`
+    /// in insertion order with linear lookups — under random insert, remove,
+    /// copy-count and duplicate-insert sequences. Ids spread over four words
+    /// of the membership bitset and arrive out of order. After every step,
+    /// membership of every id (also past the largest one inserted), the
+    /// entry views, length, bytes used, the id order and the expired ids at
+    /// a random instant must match exactly.
+    #[test]
+    fn buffer_matches_reference_model(ops in proptest::collection::vec((0u8..4, 0u32..256, 1u32..400, 0u32..100, 1u32..200, 0u32..400), 1..200)) {
+        let mut buf = Buffer::new(3_000);
+        let mut model: Vec<BufferEntry> = Vec::new();
+        let view = |e: Option<BufferEntry>| e.map(|e| (e.msg, e.copies, e.received_at, e.hops));
+        for (op, raw, size, created, ttl, now) in ops {
+            // Removes, copy updates and duplicate inserts mostly target an id
+            // the model holds, so that they hit.
+            let held = (!model.is_empty() && raw % 4 != 0)
+                .then(|| model[raw as usize % model.len()].msg.id);
+            match op {
+                0 | 1 => {
+                    let id = if op == 1 { held.unwrap_or(MessageId(raw)) } else { MessageId(raw) };
+                    let entry = BufferEntry {
+                        msg: Message {
+                            id,
+                            src: NodeId(0),
+                            dst: NodeId(raw % 7 + 1),
+                            size,
+                            created: SimTime::secs(f64::from(created)),
+                            ttl: f64::from(ttl),
+                        },
+                        copies: size % 5 + 1,
+                        received_at: SimTime::secs(f64::from(created + ttl / 2)),
+                        hops: raw % 4,
+                    };
+                    let used: u64 = model.iter().map(|e| u64::from(e.msg.size)).sum();
+                    let fits = used + u64::from(size) <= buf.capacity()
+                        && !model.iter().any(|e| e.msg.id == id);
+                    prop_assert_eq!(buf.insert(entry).is_ok(), fits);
+                    if fits {
+                        model.push(entry);
+                    }
+                }
+                2 => {
+                    let id = held.unwrap_or(MessageId(raw));
+                    let expect = model.iter().position(|e| e.msg.id == id).map(|k| model.remove(k));
+                    prop_assert_eq!(view(buf.remove(id)), view(expect));
+                }
+                _ => {
+                    let id = held.unwrap_or(MessageId(raw));
+                    let copies = size % 9 + 1;
+                    let got = buf.copies_mut(id).map(|c| *c = copies);
+                    let expect = model.iter_mut().find(|e| e.msg.id == id).map(|e| e.copies = copies);
+                    prop_assert_eq!(got, expect);
+                }
+            }
+            for raw in 0..320 {
+                let id = MessageId(raw);
+                let expect = model.iter().find(|e| e.msg.id == id).copied();
+                prop_assert_eq!(buf.contains(id), expect.is_some(), "contains({:?})", id);
+                prop_assert_eq!(view(buf.get(id)), view(expect));
+            }
+            prop_assert_eq!(buf.len(), model.len());
+            prop_assert_eq!(buf.used(), model.iter().map(|e| u64::from(e.msg.size)).sum::<u64>());
+            let ids: Vec<MessageId> = model.iter().map(|e| e.msg.id).collect();
+            prop_assert_eq!(buf.ids(), &ids[..]);
+            let at = SimTime::secs(f64::from(now));
+            let expired: Vec<MessageId> =
+                model.iter().filter(|e| e.msg.expired(at)).map(|e| e.msg.id).collect();
+            prop_assert_eq!(buf.expired(at).collect::<Vec<_>>(), expired);
+        }
+    }
+
     /// Trace text serialisation round-trips arbitrary valid traces.
     #[test]
     fn trace_text_round_trips(raw in proptest::collection::vec((0u32..6, 0u32..6, 1u32..100, 1u32..50), 0..50)) {
