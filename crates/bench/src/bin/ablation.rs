@@ -127,8 +127,10 @@ const USAGE: &str = "usage: ablation <alpha|ttl-aware|emd|window|cr-state|lambda
                      [--out json:PATH|csv:PATH|md:PATH ...]";
 
 /// Parses the flags shared with the figure binaries; a usage error exits 2.
+/// Ablations default to two mid-sized node counts unless `--nodes` (or
+/// `--quick`) sets them.
 fn common_args(argv: Vec<String>) -> CommonArgs {
-    match CommonArgs::parse(argv.into_iter()) {
+    match CommonArgs::parse_with_nodes(argv.into_iter(), &[80, 160]) {
         Ok(Some(a)) => a,
         Ok(None) => unreachable!("main answers --help before any parsing"),
         Err(e) => {
@@ -147,10 +149,7 @@ fn detected_communities(argv: Vec<String>) {
     use ce_core::{pairwise_agreement, CommunityMap};
     use dtn_bench::CommunitySource;
 
-    let mut args = common_args(argv);
-    if args.node_counts == vec![40, 80, 120, 160, 200, 240] {
-        args.node_counts = vec![80, 160];
-    }
+    let args = common_args(argv);
     let variants = [
         ("ground truth", CommunitySource::GroundTruth),
         ("detected", CommunitySource::Detected),
@@ -175,7 +174,7 @@ fn detected_communities(argv: Vec<String>) {
     report.records = run_matrix_records_stored(&cache, &specs, cfg, store.as_ref());
     // Positional view, not cells(): a trace scenario ignores the node
     // count, so its per-n sweep points merge into one cell.
-    let points = report.points(cfg.effective_seeds() as usize);
+    let spec_cells = report.spec_cells(cfg.effective_seeds() as usize);
 
     // Truth-vs-detected agreement per node count, from the same cached
     // scenarios — and the same memoised detection passes — the sweep ran on.
@@ -209,10 +208,14 @@ fn detected_communities(argv: Vec<String>) {
     let per = args.node_counts.len();
     for (vi, (label, _)) in variants.iter().enumerate() {
         for (xi, (&n, &agreement)) in args.node_counts.iter().zip(&agreements).enumerate() {
-            let p = points[vi * per + xi];
+            let cell = &spec_cells[vi * per + xi];
+            let mean = |key| cell.metric(key).expect("always measured").mean;
             println!(
                 "{label:<12}{n:>6}{agreement:>11.3}{:>9.3}{:>9.1}{:>9.4}{:>12.2}",
-                p.delivery_ratio, p.latency, p.goodput, p.control_mb
+                mean("delivery_ratio"),
+                mean("latency_s"),
+                mean("goodput"),
+                mean("control_mb")
             );
         }
     }
@@ -276,11 +279,7 @@ fn main() {
         (a.title.to_string(), pairs)
     };
 
-    let mut args = common_args(argv);
-    // Ablations default to a single mid-sized point unless overridden.
-    if args.node_counts == vec![40, 80, 120, 160, 200, 240] {
-        args.node_counts = vec![80, 160];
-    }
+    let args = common_args(argv);
 
     let mut specs = Vec::new();
     for (label, proto) in &grid {

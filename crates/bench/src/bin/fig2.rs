@@ -19,7 +19,7 @@
 use dtn_bench::report::{print_series_table, settings_table, write_text, CommonArgs};
 use dtn_bench::{
     run_matrix_records_stored, ProbeSpec, ProtocolKind, ProtocolSpec, ReportSpec, RunSpec,
-    ScenarioCache, Series,
+    ScenarioCache,
 };
 use std::fmt::Write as _;
 use std::path::Path;
@@ -94,27 +94,13 @@ fn main() {
     let mut report = ReportSpec::new("Figure 2: performance comparison (lambda = 10)");
     report.records = run_matrix_records_stored(&cache, &specs, cfg, store.as_ref());
 
-    // The paper's three-panel view: the positional one-point-per-spec
-    // reduction (protocol-major spec order). Not cells() — a trace scenario
-    // ignores the node count, so its sweep points merge into one cell.
-    let points = report.points(cfg.effective_seeds() as usize);
-    let per = args.node_counts.len();
-    let series: Vec<Series> = ProtocolKind::FIG2
-        .iter()
-        .enumerate()
-        .map(|(pi, kind)| Series {
-            label: kind.name().to_string(),
-            points: args
-                .node_counts
-                .iter()
-                .copied()
-                .zip(points[pi * per..(pi + 1) * per].iter().copied())
-                .collect(),
-        })
-        .collect();
+    // The paper's three-panel view: one summary per spec (protocol-major
+    // spec order). Not cells() — a trace scenario ignores the node count,
+    // so its sweep points merge into one cell.
+    let spec_cells = report.spec_cells(cfg.effective_seeds() as usize);
     print!(
         "{}",
-        print_series_table(&report.title, &args.node_counts, &series)
+        print_series_table(&report.title, &args.node_counts, &spec_cells)
     );
     eprintln!();
 

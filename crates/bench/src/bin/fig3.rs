@@ -8,7 +8,6 @@
 use dtn_bench::report::{print_series_table, settings_table, CommonArgs};
 use dtn_bench::{
     run_matrix_records_stored, ProtocolKind, ProtocolSpec, ReportSpec, RunSpec, ScenarioCache,
-    Series,
 };
 
 const LAMBDAS: [u32; 4] = [6, 8, 10, 12];
@@ -50,27 +49,13 @@ fn main() {
     let mut report = ReportSpec::new("Figure 3: effects of lambda on EER");
     report.records = run_matrix_records_stored(&ScenarioCache::new(), &specs, cfg, store.as_ref());
 
-    // The paper's three-panel view: the positional one-point-per-spec
-    // reduction (lambda-major spec order). Not cells() — a trace scenario
-    // ignores the node count, so its sweep points merge into one cell.
-    let points = report.points(cfg.effective_seeds() as usize);
-    let per = args.node_counts.len();
-    let series: Vec<Series> = LAMBDAS
-        .iter()
-        .enumerate()
-        .map(|(li, lambda)| Series {
-            label: format!("Lambda = {lambda}"),
-            points: args
-                .node_counts
-                .iter()
-                .copied()
-                .zip(points[li * per..(li + 1) * per].iter().copied())
-                .collect(),
-        })
-        .collect();
+    // The paper's three-panel view: one summary per spec (lambda-major
+    // spec order). Not cells() — a trace scenario ignores the node count,
+    // so its sweep points merge into one cell.
+    let spec_cells = report.spec_cells(cfg.effective_seeds() as usize);
     print!(
         "{}",
-        print_series_table(&report.title, &args.node_counts, &series)
+        print_series_table(&report.title, &args.node_counts, &spec_cells)
     );
     eprintln!();
     if !report.write_all(&args.outs_or(&["csv:results/fig3.csv"])) {

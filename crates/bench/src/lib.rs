@@ -74,13 +74,11 @@ pub use fabric::run_indexed;
 pub use probes::ProbeSpec;
 pub use protocols::{ProtocolKind, ProtocolParams, ProtocolSpec};
 pub use report::{
-    print_series_table, write_csv, CellSummary, MetricSummary, OutputSpec, ReportSpec, RunRecord,
-    Series,
+    print_series_table, CellSummary, MetricSummary, OutputSpec, ReportSpec, RunRecord,
 };
 pub use runner::{
-    replay_artifact, run_cell, run_matrix, run_matrix_records, run_matrix_records_stored,
-    run_matrix_with, run_on_observed, run_stream, CellRun, CommunitySource, RunOutput, RunSpec,
-    SweepConfig,
+    replay_artifact, run_cell, run_matrix_records, run_matrix_records_stored, run_on_observed,
+    run_stream, CellRun, CommunitySource, RunOutput, RunSpec, SweepConfig,
 };
 pub use scenario::{BuiltScenario, ScenarioCache, ScenarioKey, DEFAULT_SCENARIO_CACHE_CAP};
 pub use store::{resolve_store, CellStore, GcOutcome, StoreStats, DEFAULT_STORE_ROOT};

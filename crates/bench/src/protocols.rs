@@ -367,32 +367,6 @@ impl ProtocolSpec {
         self
     }
 
-    /// Sets the α horizon parameter (EER/CR only; a no-op for the others).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        match &mut self.params {
-            ProtocolParams::Eer(c) => c.alpha = alpha,
-            ProtocolParams::Cr(c) => c.alpha = alpha,
-            _ => {}
-        }
-        self
-    }
-
-    /// Sets the history-window length (EER/CR only; a no-op for the others).
-    pub fn with_window(mut self, window: usize) -> Self {
-        match &mut self.params {
-            ProtocolParams::Eer(c) => c.window = window,
-            ProtocolParams::Cr(c) => c.window = window,
-            _ => {}
-        }
-        self
-    }
-
-    /// Overrides every message's TTL (seconds) for runs of this spec.
-    pub fn with_ttl(mut self, seconds: f64) -> Self {
-        self.ttl = Some(seconds);
-        self
-    }
-
     /// Overrides the per-node buffer capacity (bytes) for runs of this spec.
     pub fn with_buffer(mut self, bytes: u64) -> Self {
         self.buffer = Some(bytes);

@@ -22,9 +22,9 @@
 //!   selected via repeatable `--out` flags ([`OutputSpec`]).
 //! * [`json`] — the offline JSON document model the emitters build on.
 //!
-//! This module additionally keeps the legacy figure-table helpers
-//! ([`Series`], [`print_series_table`], [`write_csv`]) and the shared CLI
-//! argument parser ([`CommonArgs`]).
+//! This module additionally keeps the figures' three-panel console table
+//! ([`print_series_table`], over [`ReportSpec::spec_cells`]) and the shared
+//! CLI argument parser ([`CommonArgs`]).
 //!
 //! ```
 //! use dtn_bench::report::{ReportSpec, RunRecord};
@@ -58,27 +58,18 @@ pub use record::{CellSummary, MetricSummary, ReportSpec, RunRecord, SCHEMA_VERSI
 
 use crate::probes::ProbeSpec;
 use dtn_mobility::{ScenarioSpec, TraceSource, WorkloadSpec};
-use dtn_sim::MetricPoint;
 use std::fmt::Write as _;
-use std::path::Path;
-
-/// One plotted series: a label plus a point per x value.
-#[derive(Clone, Debug)]
-pub struct Series {
-    /// Legend label.
-    pub label: String,
-    /// `(x, point)` pairs, in x order.
-    pub points: Vec<(u32, MetricPoint)>,
-}
 
 /// Renders the three panels of a paper figure (delivery ratio, latency,
-/// goodput) as aligned text tables, one row per series.
-pub fn print_series_table(title: &str, xs: &[u32], series: &[Series]) -> String {
+/// goodput) as aligned text tables, one column per x value. `cells` is the
+/// positional view ([`ReportSpec::spec_cells`]) of a series-major matrix:
+/// each run of `xs.len()` cells is one row, labelled with its series.
+pub fn print_series_table(title: &str, xs: &[u32], cells: &[CellSummary]) -> String {
     let mut out = String::new();
-    for (panel, extract) in [
-        ("delivery ratio", 0usize),
-        ("latency (s)", 1),
-        ("goodput", 2),
+    for (panel, key) in [
+        ("delivery ratio", "delivery_ratio"),
+        ("latency (s)", "latency_s"),
+        ("goodput", "goodput"),
     ] {
         let _ = writeln!(out, "\n{title} — {panel}");
         let _ = write!(out, "{:<16}", "N");
@@ -86,15 +77,14 @@ pub fn print_series_table(title: &str, xs: &[u32], series: &[Series]) -> String 
             let _ = write!(out, "{x:>10}");
         }
         let _ = writeln!(out);
-        for s in series {
-            let _ = write!(out, "{:<16}", s.label);
-            for (_, p) in &s.points {
-                let v = match extract {
-                    0 => p.delivery_ratio,
-                    1 => p.latency,
-                    _ => p.goodput,
-                };
-                if extract == 1 {
+        for row in cells.chunks(xs.len()) {
+            let _ = write!(out, "{:<16}", row[0].series);
+            for cell in row {
+                let v = cell
+                    .metric(key)
+                    .expect("headline metrics are always measured")
+                    .mean;
+                if key == "latency_s" {
                     let _ = write!(out, "{v:>10.1}");
                 } else {
                     let _ = write!(out, "{v:>10.4}");
@@ -104,28 +94,6 @@ pub fn print_series_table(title: &str, xs: &[u32], series: &[Series]) -> String 
         }
     }
     out
-}
-
-/// Writes the series as CSV:
-/// `series,n_nodes,delivery_ratio,latency,goodput,runs`.
-///
-/// Parent directories are created as needed; failures — including a parent
-/// that exists but is not a directory, and a bare filename whose empty
-/// `parent()` used to make the old implementation error spuriously — come
-/// back as an [`std::io::Error`] naming the offending path (see
-/// [`write_text`]).
-pub fn write_csv(path: &Path, series: &[Series]) -> std::io::Result<()> {
-    let mut out = String::from("series,n_nodes,delivery_ratio,latency,goodput,runs\n");
-    for s in series {
-        for (x, p) in &s.points {
-            let _ = writeln!(
-                out,
-                "{},{},{:.6},{:.3},{:.6},{}",
-                s.label, x, p.delivery_ratio, p.latency, p.goodput, p.runs
-            );
-        }
-    }
-    write_text(path, &out)
 }
 
 /// Parses common CLI flags shared by the figure binaries.
@@ -179,12 +147,24 @@ impl CommonArgs {
     /// Parses `--full`, `--seeds K`, `--nodes a,b,c`, `--quick`,
     /// `--scenario FAMILY`, `--workload KIND`, `--duration SECS`,
     /// `--out FORMAT:PATH` (repeatable), `--probe SPEC` (repeatable),
-    /// `--print-settings` from `args`. `Ok(None)` means `--help` (or `-h`)
-    /// was requested: the caller prints its usage and exits successfully.
+    /// `--print-settings` from `args`. The presets `--full` (10 seeds) and
+    /// `--quick` (1 seed, nodes 40,120,200) fill only what `--seeds` and
+    /// `--nodes` leave unset, wherever they appear. `Ok(None)` means
+    /// `--help` (or `-h`) was requested: the caller prints its usage and
+    /// exits successfully.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Option<Self>, String> {
+        Self::parse_with_nodes(args, &[40, 80, 120, 160, 200, 240])
+    }
+
+    /// [`CommonArgs::parse`] with `default_nodes` as the node counts when
+    /// neither `--nodes` nor `--quick` gives them.
+    pub fn parse_with_nodes(
+        args: impl Iterator<Item = String>,
+        default_nodes: &[u32],
+    ) -> Result<Option<Self>, String> {
         let mut out = CommonArgs {
             seeds: 3,
-            node_counts: vec![40, 80, 120, 160, 200, 240],
+            node_counts: default_nodes.to_vec(),
             scenario: "paper".into(),
             workload: WorkloadSpec::PaperUniform,
             duration: None,
@@ -195,21 +175,23 @@ impl CommonArgs {
             store: None,
             no_store: false,
         };
+        let (mut seeds, mut nodes) = (None, None);
+        let (mut preset_seeds, mut preset_nodes) = (None, None);
         let mut it = args.peekable();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--full" => out.seeds = 10,
+                "--full" => preset_seeds = Some(10),
                 "--quick" => {
-                    out.seeds = 1;
-                    out.node_counts = vec![40, 120, 200];
+                    preset_seeds = Some(1);
+                    preset_nodes = Some(vec![40, 120, 200]);
                 }
                 "--seeds" => {
                     let v = it.next().ok_or("--seeds needs a value")?;
-                    out.seeds = Self::parse_number("--seeds", &v)?;
+                    seeds = Some(Self::parse_number("--seeds", &v)?);
                 }
                 "--nodes" => {
                     let v = it.next().ok_or("--nodes needs a value")?;
-                    out.node_counts = Self::parse_nodes(&v)?;
+                    nodes = Some(Self::parse_nodes(&v)?);
                 }
                 "--scenario" => {
                     let v = it.next().ok_or("--scenario needs a value")?;
@@ -253,6 +235,12 @@ impl CommonArgs {
                 "--help" | "-h" => return Ok(None),
                 other => return Err(format!("unknown flag {other}")),
             }
+        }
+        if let Some(k) = seeds.or(preset_seeds) {
+            out.seeds = k;
+        }
+        if let Some(ns) = nodes.or(preset_nodes) {
+            out.node_counts = ns;
         }
         if out.seeds == 0 || out.node_counts.is_empty() {
             return Err("need at least one seed and one node count".into());
@@ -383,56 +371,51 @@ pub fn settings_table() -> &'static str {
 mod tests {
     use super::*;
 
-    fn sample_series() -> Vec<Series> {
-        vec![Series {
-            label: "EER".into(),
-            points: vec![
-                (
-                    40,
-                    MetricPoint {
-                        delivery_ratio: 0.5,
-                        latency: 400.0,
-                        goodput: 0.05,
-                        relayed: 100.0,
-                        control_mb: 1.0,
-                        runs: 3,
-                    },
-                ),
-                (
-                    80,
-                    MetricPoint {
-                        delivery_ratio: 0.6,
-                        latency: 380.0,
-                        goodput: 0.04,
-                        relayed: 120.0,
-                        control_mb: 2.0,
-                        runs: 3,
-                    },
-                ),
-            ],
-        }]
-    }
-
+    /// The whole three-panel rendering, pinned: two series × two node
+    /// counts × two seeds, where the trace series' two specs are one cell
+    /// (a trace ignores the node count), as a trace sweep produces them.
     #[test]
     fn table_contains_all_panels() {
-        let t = print_series_table("Fig. 2", &[40, 80], &sample_series());
-        assert!(t.contains("delivery ratio"));
-        assert!(t.contains("latency (s)"));
-        assert!(t.contains("goodput"));
-        assert!(t.contains("EER"));
-        assert!(t.contains("0.5000"));
-        assert!(t.contains("400.0"));
-    }
+        let run = |series: &str, group: &str, seed: u64, delivered: u64, latency: f64| {
+            let mut r = record::tests::synthetic_record(series, seed, delivered);
+            r.group = group.into();
+            r.cell = format!("{group}|seed={seed}");
+            r.stats.latency_sum = delivered as f64 * latency;
+            r.stats.relayed = 200;
+            r
+        };
+        let mut report = ReportSpec::new("Fig. 2");
+        for (n, base) in [(40, 50), (80, 60)] {
+            for seed in 1..=2 {
+                let paper = format!("paper:n={n}");
+                report.push(run("EER", &paper, seed, base + seed, 400.0 + seed as f64));
+            }
+        }
+        for _n in [40, 80] {
+            for seed in 1..=2 {
+                report.push(run("trace EER", "trace", seed, 30 * seed, 1234.56));
+            }
+        }
+        let table = print_series_table(&report.title, &[40, 80], &report.spec_cells(2));
+        assert_eq!(
+            table,
+            "
+Fig. 2 — delivery ratio
+N                       40        80
+EER                 0.5150    0.6150
+trace EER           0.4500    0.4500
 
-    #[test]
-    fn csv_round_trip_format() {
-        let dir = std::env::temp_dir().join("dtn_bench_test_csv");
-        let path = dir.join("fig.csv");
-        write_csv(&path, &sample_series()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("series,n_nodes,"));
-        assert!(text.contains("EER,40,0.500000,400.000,0.050000,3"));
-        std::fs::remove_dir_all(&dir).ok();
+Fig. 2 — latency (s)
+N                       40        80
+EER                  401.5     401.5
+trace EER           1234.6    1234.6
+
+Fig. 2 — goodput
+N                       40        80
+EER                 0.2575    0.3075
+trace EER           0.2250    0.2250
+"
+        );
     }
 
     #[test]
@@ -464,6 +447,35 @@ mod tests {
         assert_eq!(n.seeds, 5);
         assert!(CommonArgs::parse(["--bogus".to_string()].into_iter()).is_err());
         assert!(CommonArgs::parse(["--seeds".to_string(), "0".to_string()].into_iter()).is_err());
+
+        // Presets fill only what the command line leaves unset, before or
+        // after the explicit flags.
+        let parse = |flags: &[&str]| {
+            CommonArgs::parse(flags.iter().map(|f| f.to_string()))
+                .unwrap()
+                .unwrap()
+        };
+        let q = parse(&["--nodes", "8", "--seeds", "2", "--quick"]);
+        assert_eq!((q.seeds, q.node_counts), (2, vec![8]));
+        let q = parse(&["--quick", "--seeds", "5"]);
+        assert_eq!((q.seeds, q.node_counts), (5, vec![40, 120, 200]));
+        assert_eq!(parse(&["--seeds", "2", "--full"]).seeds, 2);
+        assert_eq!(parse(&["--nodes", "8", "--full"]).node_counts, vec![8]);
+
+        // A caller's own default node list applies only without `--nodes`,
+        // even when the given list equals the figures' default.
+        let ablation = |flags: &[&str]| {
+            CommonArgs::parse_with_nodes(flags.iter().map(|f| f.to_string()), &[80, 160])
+                .unwrap()
+                .unwrap()
+                .node_counts
+        };
+        assert_eq!(ablation(&[]), vec![80, 160]);
+        assert_eq!(
+            ablation(&["--nodes", "40,80,120,160,200,240"]),
+            vec![40, 80, 120, 160, 200, 240]
+        );
+        assert_eq!(ablation(&["--quick"]), vec![40, 120, 200]);
     }
 
     /// `--help` and `-h` are a request, not an error: `Ok(None)` wherever

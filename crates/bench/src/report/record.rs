@@ -32,7 +32,7 @@
 use super::metrics::{metric, MetricDef, METRICS};
 use crate::runner::{RunOutput, RunSpec};
 use crate::scenario::BuiltScenario;
-use dtn_sim::{LatencyHistogram, MetricPoint, StatsSnapshot, TimeSeries};
+use dtn_sim::{LatencyHistogram, StatsSnapshot, TimeSeries};
 
 /// Format version stamped into every emitted document; bump when the field
 /// set changes shape. Version 2 added the optional per-record time-series
@@ -263,8 +263,9 @@ impl CellTimeSeries {
     }
 }
 
-/// Cross-seed aggregate of one cell family: every record sharing a
-/// [`RunRecord::group`], summarized per registered metric.
+/// Cross-seed aggregate of one cell family, summarized per registered
+/// metric: the records sharing a [`RunRecord::group`]
+/// ([`ReportSpec::cells`]) or one spec's runs ([`ReportSpec::spec_cells`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellSummary {
     /// The shared group identity ([`RunRecord::group`]).
@@ -299,17 +300,31 @@ impl CellSummary {
         self.metrics.iter().find(|(k, _)| *k == key).map(|(_, s)| s)
     }
 
-    /// Bridges the summary to the legacy [`MetricPoint`] (headline means),
-    /// so figure tables and plots keep working off the report pipeline.
-    pub fn point(&self) -> MetricPoint {
-        let mean = |key: &str| self.metric(key).map_or(0.0, |m| m.mean);
-        MetricPoint {
-            delivery_ratio: mean("delivery_ratio"),
-            latency: mean("latency_s"),
-            goodput: mean("goodput"),
-            relayed: mean("relayed"),
-            control_mb: mean("control_mb"),
-            runs: self.seeds.len() as u32,
+    /// Summarizes one group of runs: seed-sorted, then every registered
+    /// metric the runs all measure. The one reduction behind both
+    /// [`ReportSpec::cells`] and [`ReportSpec::spec_cells`].
+    fn of_runs(mut runs: Vec<&RunRecord>) -> Self {
+        runs.sort_by_key(|r| r.seed);
+        let first = runs[0];
+        let metrics = METRICS
+            .iter()
+            .filter(|m| runs.iter().all(|r| m.is_available(r)))
+            .map(|m: &MetricDef| {
+                let values: Vec<f64> = runs.iter().map(|r| (m.extract)(r)).collect();
+                (m.key, MetricSummary::of(&values))
+            })
+            .collect();
+        CellSummary {
+            group: first.group.clone(),
+            series: first.series.clone(),
+            scenario: first.scenario.clone(),
+            workload: first.workload.clone(),
+            protocol: first.protocol.clone(),
+            n_nodes: first.n_nodes,
+            duration: first.duration,
+            seeds: runs.iter().map(|r| r.seed).collect(),
+            metrics,
+            timeseries: CellTimeSeries::aggregate(&runs),
         }
     }
 }
@@ -339,46 +354,49 @@ impl ReportSpec {
     }
 
     /// Groups the records by [`RunRecord::group`] (first-appearance order)
-    /// and summarizes every registered metric per group. Records of one
-    /// group are seed-sorted before summarizing, so the output is
+    /// and summarizes every registered metric per group. Each distinct
+    /// [`RunRecord::cell`] counts once: equal cell keys (which include the
+    /// seed) are bitwise-equal runs, as when a trace scenario, which ignores
+    /// the node count, is swept over several `--nodes` values. Records of
+    /// one group are seed-sorted before summarizing, so the output is
     /// independent of insertion order. One indexed pass over the records —
     /// linear in `records × metrics`, whatever the group count.
     pub fn cells(&self) -> Vec<CellSummary> {
+        let mut seen = std::collections::HashSet::new();
         let mut index: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
         let mut groups: Vec<Vec<&RunRecord>> = Vec::new();
-        for r in &self.records {
+        for r in self.records.iter().filter(|r| seen.insert(r.cell.as_str())) {
             let i = *index.entry(r.group.as_str()).or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1
             });
             groups[i].push(r);
         }
-        groups
-            .into_iter()
-            .map(|mut runs| {
-                runs.sort_by_key(|r| r.seed);
-                let first = runs[0];
-                let metrics = METRICS
-                    .iter()
-                    .filter(|m| runs.iter().all(|r| m.is_available(r)))
-                    .map(|m: &MetricDef| {
-                        let values: Vec<f64> = runs.iter().map(|r| (m.extract)(r)).collect();
-                        (m.key, MetricSummary::of(&values))
-                    })
-                    .collect();
-                CellSummary {
-                    group: first.group.clone(),
-                    series: first.series.clone(),
-                    scenario: first.scenario.clone(),
-                    workload: first.workload.clone(),
-                    protocol: first.protocol.clone(),
-                    n_nodes: first.n_nodes,
-                    duration: first.duration,
-                    seeds: runs.iter().map(|r| r.seed).collect(),
-                    metrics,
-                    timeseries: CellTimeSeries::aggregate(&runs),
-                }
-            })
+        groups.into_iter().map(CellSummary::of_runs).collect()
+    }
+
+    /// The execution-plan view: one [`CellSummary`] per consecutive
+    /// `seeds_per_spec` records — i.e. one per `RunSpec` of a matrix, in
+    /// spec order. Positional consumers (the figure panels, which index by
+    /// `spec × node count`) must use this rather than
+    /// [`ReportSpec::cells`]: cells merge records sharing a group identity,
+    /// and distinct specs *can* share one — trace replay ignores the node
+    /// count, so every sweep point of a trace family is the same cell.
+    ///
+    /// # Panics
+    /// Panics if `seeds_per_spec` is zero or does not divide the record
+    /// count (the records did not come from a
+    /// `seeds_per_spec`-seeded matrix).
+    pub fn spec_cells(&self, seeds_per_spec: usize) -> Vec<CellSummary> {
+        assert!(
+            seeds_per_spec > 0 && self.records.len().is_multiple_of(seeds_per_spec),
+            "{} records cannot be {} runs per spec",
+            self.records.len(),
+            seeds_per_spec
+        );
+        self.records
+            .chunks(seeds_per_spec)
+            .map(|runs| CellSummary::of_runs(runs.iter().collect()))
             .collect()
     }
 
@@ -409,38 +427,10 @@ impl ReportSpec {
     pub fn served_from_store(&self) -> usize {
         self.records.iter().filter(|r| r.cached).count()
     }
-
-    /// The execution-plan view: one legacy [`MetricPoint`] per consecutive
-    /// `seeds_per_spec` records — i.e. one point per `RunSpec`, in spec
-    /// order, exactly as `run_matrix` reduces. Positional consumers (the
-    /// figure panels, which index points by `spec × node count`) must use
-    /// this rather than [`ReportSpec::cells`]: cells merge records sharing
-    /// a group identity, and distinct specs *can* share one — trace replay
-    /// ignores the node count, so every sweep point of a trace family is
-    /// the same cell.
-    ///
-    /// # Panics
-    /// Panics if `seeds_per_spec` is zero or does not divide the record
-    /// count (the records did not come from a
-    /// `seeds_per_spec`-seeded matrix).
-    pub fn points(&self, seeds_per_spec: usize) -> Vec<MetricPoint> {
-        assert!(
-            seeds_per_spec > 0 && self.records.len().is_multiple_of(seeds_per_spec),
-            "{} records cannot be {} runs per spec",
-            self.records.len(),
-            seeds_per_spec
-        );
-        self.records
-            .chunks(seeds_per_spec)
-            .map(|runs| {
-                MetricPoint::from_snapshots(&runs.iter().map(|r| r.stats).collect::<Vec<_>>())
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     pub(crate) fn synthetic_record(series: &str, seed: u64, delivered: u64) -> RunRecord {
@@ -517,8 +507,9 @@ mod tests {
     /// Regression (trace replay in the figure binaries): when distinct
     /// sweep specs share a group identity — a trace scenario ignores the
     /// node count, so every sweep point is the same cell — `cells()` merges
-    /// them, but the positional `points()` view must still return one point
-    /// per spec so `spec × node count` indexing cannot go out of bounds.
+    /// them, but the positional `spec_cells()` view must still return one
+    /// summary per spec so `spec × node count` indexing cannot go out of
+    /// bounds.
     #[test]
     fn points_stay_positional_when_cells_merge() {
         let mut report = ReportSpec::new("t");
@@ -526,10 +517,34 @@ mod tests {
         report.push(synthetic_record("a", 1, 50));
         report.push(synthetic_record("a", 1, 60));
         assert_eq!(report.cells().len(), 1, "identical cells merge");
-        let points = report.points(1);
-        assert_eq!(points.len(), 2, "but the plan view is one point per spec");
-        assert!((points[0].delivery_ratio - 0.5).abs() < 1e-12);
-        assert!((points[1].delivery_ratio - 0.6).abs() < 1e-12);
+        let specs = report.spec_cells(1);
+        assert_eq!(specs.len(), 2, "but the plan view is one cell per spec");
+        let dr = |c: &CellSummary| c.metric("delivery_ratio").unwrap().mean;
+        assert!((dr(&specs[0]) - 0.5).abs() < 1e-12);
+        assert!((dr(&specs[1]) - 0.6).abs() < 1e-12);
+    }
+
+    /// A trace sweep runs the identical cell once per `--nodes` value;
+    /// `cells()` counts each distinct cell key once, so two seeds swept over
+    /// two node counts summarize as two runs, not four.
+    #[test]
+    fn cells_count_each_run_once() {
+        let mut report = ReportSpec::new("t");
+        for _node_count in 0..2 {
+            for (seed, delivered) in [(1, 50), (2, 70)] {
+                report.push(synthetic_record("a", seed, delivered));
+            }
+        }
+        let cells = report.cells();
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].seeds, vec![1, 2]);
+        let dr = cells[0].metric("delivery_ratio").unwrap();
+        assert_eq!(dr.n, 2);
+        assert!((dr.mean - 0.6).abs() < 1e-12);
+        // Over 0.5 and 0.7: counted twice each, the spread would read
+        // sqrt(0.04 / 3) and the CI 1.96 · that / 2.
+        assert!((dr.stddev - 0.02f64.sqrt()).abs() < 1e-12);
+        assert!((dr.ci95 - 0.196).abs() < 1e-12);
     }
 
     /// Cells aggregate time series only when every seed carries one at a
@@ -577,17 +592,5 @@ mod tests {
         partial.push(a);
         partial.push(d);
         assert!(partial.cells()[0].timeseries.is_none());
-    }
-
-    #[test]
-    fn point_bridges_headline_means() {
-        let mut report = ReportSpec::new("t");
-        report.push(synthetic_record("a", 1, 50));
-        report.push(synthetic_record("a", 2, 60));
-        let p = report.cells()[0].point();
-        assert_eq!(p.runs, 2);
-        assert!((p.delivery_ratio - 0.55).abs() < 1e-12);
-        assert!((p.latency - 120.0).abs() < 1e-12);
-        assert!((p.control_mb - 1.0).abs() < 1e-12);
     }
 }

@@ -1,5 +1,5 @@
-//! The single execution layer every binary, bench and test drives
-//! simulations through.
+//! The single execution layer every binary and test drives simulations
+//! through.
 //!
 //! The primitive is [`run_cell`]: it executes one deterministic
 //! `(spec, seed)` cell and chooses the contact supply with one predicate,
@@ -8,14 +8,17 @@
 //! [`BuiltScenario`] the shared [`ScenarioCache`] resolves
 //! ([`run_on_observed`]). The two supplies are bit-identical, so the choice
 //! never shows in an output. A sweep is a matrix of such cells:
-//! [`run_matrix`] fans them out over the work-stealing sweep
-//! [`fabric`](crate::fabric), then reduces per-point results in
-//! deterministic order (results are keyed, not raced), so the thread count
-//! never changes the output. [`run_matrix_records`] is the same fan-out
-//! returning provenance-full [`RunRecord`]s for the report pipeline.
+//! [`run_matrix_records`] fans them out over the work-stealing sweep
+//! [`fabric`](crate::fabric) and returns one provenance-full [`RunRecord`]
+//! per `(spec, seed)` in deterministic order (results are keyed, not
+//! raced), so the thread count never changes the output. The report
+//! pipeline ([`ReportSpec`](crate::ReportSpec)) is the one reduction of
+//! those records across seeds.
 //!
 //! ```
-//! use dtn_bench::{run_matrix, ProtocolSpec, RunSpec, SweepConfig};
+//! use dtn_bench::{
+//!     run_matrix_records, ProtocolSpec, ReportSpec, RunSpec, ScenarioCache, SweepConfig,
+//! };
 //!
 //! // Two protocols on the paper's 8-node bus-city, one seed each.
 //! let specs = vec![
@@ -25,9 +28,11 @@
 //!         .with_duration(300.0),
 //! ];
 //! let cfg = SweepConfig { seeds: 1, threads: 2, verbose: false };
-//! let points = run_matrix(&specs, cfg);
-//! assert_eq!(points.len(), 2, "one averaged point per spec");
-//! assert!(points.iter().all(|p| p.runs == 1));
+//! let mut report = ReportSpec::new("doc example");
+//! report.records = run_matrix_records(&ScenarioCache::new(), &specs, cfg);
+//! let per_spec = report.spec_cells(1);
+//! assert_eq!(per_spec.len(), 2, "one summary per spec");
+//! assert!(per_spec.iter().all(|c| c.seeds == [1]));
 //! ```
 
 use crate::probes::ProbeSpec;
@@ -37,8 +42,8 @@ use crate::scenario::{BuiltScenario, ScenarioCache, ScenarioKey};
 use ce_core::{detect_over_trace, detected_map, CommunityMap, DetectorConfig};
 use dtn_mobility::{ScenarioSpec, WorkloadSpec};
 use dtn_sim::{
-    EventLogWriter, LatencyHistogram, LatencyHistogramProbe, MetricPoint, SimConfig, SimObserver,
-    SimStats, Simulation, TimeSeries, TimeSeriesProbe, TraceMeta, TraceReader,
+    EventLogWriter, LatencyHistogram, LatencyHistogramProbe, SimConfig, SimObserver, SimStats,
+    Simulation, TimeSeries, TimeSeriesProbe, TraceMeta, TraceReader,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -122,12 +127,6 @@ impl RunSpec {
             probes: Vec::new(),
             ring_drain: None,
         }
-    }
-
-    /// Replaces the scenario family.
-    pub fn with_scenario(mut self, scenario: ScenarioSpec) -> Self {
-        self.scenario = scenario;
-        self
     }
 
     /// Replaces the message workload.
@@ -284,8 +283,8 @@ impl SweepConfig {
     }
 
     /// The seed count actually used: at least 1, whatever the configured
-    /// value. `seeds: 0` would otherwise silently reduce every point to an
-    /// all-zero [`MetricPoint`] with `runs: 0`.
+    /// value, so `seeds: 0` still runs one seed per spec instead of an
+    /// empty matrix.
     pub fn effective_seeds(&self) -> u32 {
         self.seeds.max(1)
     }
@@ -594,29 +593,8 @@ fn probe_outputs(
     (timeseries, latency)
 }
 
-/// Executes every `(spec, seed)` combination and reduces each spec's runs
-/// into a [`MetricPoint`]. Returns points in the order of `specs`.
-pub fn run_matrix(specs: &[RunSpec], cfg: SweepConfig) -> Vec<MetricPoint> {
-    run_matrix_with(&ScenarioCache::new(), specs, cfg)
-}
-
-/// [`run_matrix`] against a caller-supplied scenario cache, so binaries that
-/// also need the raw scenarios (e.g. to compare community maps) build each
-/// one exactly once.
-pub fn run_matrix_with(
-    cache: &ScenarioCache,
-    specs: &[RunSpec],
-    cfg: SweepConfig,
-) -> Vec<MetricPoint> {
-    let records = run_matrix_records(cache, specs, cfg);
-    records
-        .chunks(cfg.effective_seeds() as usize)
-        .map(|runs| MetricPoint::from_snapshots(&runs.iter().map(|r| r.stats).collect::<Vec<_>>()))
-        .collect()
-}
-
-/// The record-producing core of the matrix runner: executes every
-/// `(spec, seed)` cell over the worker pool and returns one provenance-full
+/// The matrix runner: executes every `(spec, seed)` cell over the worker
+/// pool and returns one provenance-full
 /// [`RunRecord`] per cell — including measured wall-clock — flat, in
 /// deterministic `(spec, seed)` order (`specs.len() × seeds` entries).
 ///
@@ -820,7 +798,7 @@ mod tests {
     use super::*;
     use crate::protocols::{ProtocolKind, ProtocolSpec};
 
-    /// The matrix runner produces one averaged point per spec and is
+    /// The matrix runner produces one record per `(spec, seed)` and is
     /// deterministic across repeats.
     #[test]
     fn matrix_runs_deterministically() {
@@ -837,18 +815,26 @@ mod tests {
             threads: 2,
             verbose: false,
         };
-        let a = run_matrix(&specs, cfg);
-        let b = run_matrix(&specs, cfg);
-        assert_eq!(a.len(), 2);
+        let cache = ScenarioCache::new();
+        let a = run_matrix_records(&cache, &specs, cfg);
+        let b = run_matrix_records(&cache, &specs, cfg);
+        assert_eq!(a.len(), 4);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.runs, 2);
-            assert_eq!(x.delivery_ratio, y.delivery_ratio);
-            assert_eq!(x.latency, y.latency);
-            assert_eq!(x.goodput, y.goodput);
+            assert_eq!(x.cell, y.cell);
+            assert_eq!(x.stats, y.stats);
         }
         // Epidemic floods, so it must relay at least as much as quota spray;
         // delivery can't be lower on identical traces.
-        assert!(a[1].delivery_ratio >= a[0].delivery_ratio - 1e-9);
+        let report = crate::ReportSpec {
+            title: String::new(),
+            records: a,
+        };
+        let dr: Vec<f64> = report
+            .spec_cells(2)
+            .iter()
+            .map(|c| c.metric("delivery_ratio").unwrap().mean)
+            .collect();
+        assert!(dr[1] >= dr[0] - 1e-9);
     }
 
     /// Zero threads is clamped, not a hang or panic.
@@ -865,13 +851,13 @@ mod tests {
             8,
             ProtocolSpec::paper(ProtocolKind::Direct),
         )];
-        let points = run_matrix(&specs, cfg);
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].runs, 1);
+        let records = run_matrix_records(&ScenarioCache::new(), &specs, cfg);
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].seed, 1);
     }
 
-    /// `seeds: 0` is clamped, not a silent all-zero result (regression: the
-    /// old runner returned `MetricPoint { runs: 0, .. }` for every spec).
+    /// `seeds: 0` is clamped: the sweep still runs one seed per spec
+    /// instead of silently returning nothing.
     #[test]
     fn zero_seeds_clamps_to_one() {
         let cfg = SweepConfig {
@@ -884,9 +870,9 @@ mod tests {
             RunSpec::new("Direct", 8, ProtocolSpec::paper(ProtocolKind::Direct))
                 .with_duration(500.0),
         ];
-        let points = run_matrix(&specs, cfg);
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].runs, 1, "seeds: 0 must still run one seed");
+        let records = run_matrix_records(&ScenarioCache::new(), &specs, cfg);
+        assert_eq!(records.len(), 1, "seeds: 0 must still run one seed");
+        assert_eq!(records[0].seed, 1);
     }
 
     /// Duplicate probes of one kind collapse to the first: the cell key and

@@ -161,29 +161,6 @@ impl BuiltScenario {
         })
     }
 
-    /// Builds the §V-A paper scenario for `n_nodes` nodes and `seed`.
-    pub fn build(n_nodes: u32, seed: u64) -> Self {
-        Self::from_specs(
-            &ScenarioSpec::paper(n_nodes),
-            &WorkloadSpec::PaperUniform,
-            seed,
-            None,
-        )
-        .expect("paper scenario build cannot fail")
-    }
-
-    /// A reduced paper variant (shorter horizon) used by Criterion benches
-    /// so a bench iteration stays sub-second.
-    pub fn build_scaled(n_nodes: u32, seed: u64, duration: f64) -> Self {
-        Self::from_specs(
-            &ScenarioSpec::paper(n_nodes),
-            &WorkloadSpec::PaperUniform,
-            seed,
-            Some(duration),
-        )
-        .expect("paper scenario build cannot fail")
-    }
-
     /// Wraps a replayed (e.g. real-world) contact trace as a runnable
     /// scenario: the paper's traffic model is fitted to the trace's node
     /// count and horizon, and communities are detected online.
@@ -529,7 +506,13 @@ mod tests {
 
     #[test]
     fn scaled_scenario_is_shorter() {
-        let s = BuiltScenario::build_scaled(8, 1, 500.0);
+        let s = BuiltScenario::from_specs(
+            &ScenarioSpec::paper(8),
+            &WorkloadSpec::PaperUniform,
+            1,
+            Some(500.0),
+        )
+        .unwrap();
         assert_eq!(s.scenario.trace.duration, 500.0);
         assert!(s.workload.iter().all(|m| m.create_at.as_secs() < 500.0));
     }

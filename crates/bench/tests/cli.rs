@@ -1,7 +1,7 @@
 //! Command-line surfaces of the run binaries, driven through the real
 //! executables: usage errors name the flag and the value, removed flags
-//! fail as unknown, and `dtnrun`'s delivery-progress table follows the
-//! run's horizon.
+//! fail as unknown, explicit flags win over defaults, and `dtnrun`'s
+//! delivery-progress table follows the run's horizon.
 
 use std::process::Command;
 
@@ -59,6 +59,41 @@ fn removed_run_threads_flag_is_unknown() {
             "{bin}: {err}"
         );
     }
+}
+
+/// The ablations' own default node list applies only when `--nodes` is
+/// absent: an explicit list equal to the figures' default is kept.
+#[test]
+fn ablation_default_nodes_yield_to_an_explicit_list() {
+    let out = std::env::temp_dir().join(format!("ablation_nodes_{}.json", std::process::id()));
+    let out_flag = format!("json:{}", out.display());
+    let header = |nodes: &[&str]| {
+        let cell = [
+            "--seeds",
+            "1",
+            "--duration",
+            "1",
+            "--no-store",
+            "--threads",
+            "1",
+        ];
+        let args = [&["lambda-one"][..], nodes, &cell, &["--out", &out_flag]].concat();
+        let (code, _, err) = run(env!("CARGO_BIN_EXE_ablation"), &args);
+        assert_eq!(code, 0, "{err}");
+        err.lines()
+            .find(|l| l.starts_with("ablation lambda-one: "))
+            .unwrap_or_else(|| panic!("no header in {err}"))
+            .to_string()
+    };
+    assert_eq!(
+        header(&[]),
+        "ablation lambda-one: 4 variants x [80, 160] nodes x 1 seeds"
+    );
+    assert_eq!(
+        header(&["--nodes", "40,80,120,160,200,240"]),
+        "ablation lambda-one: 4 variants x [40, 80, 120, 160, 200, 240] nodes x 1 seeds"
+    );
+    std::fs::remove_file(&out).ok();
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Sweep determinism: the worker-thread count is a pure throughput knob and
 //! must never change simulation results. The runner keys results by
 //! `(spec, seed)` instead of racing them, so `threads = 1` and `threads = 8`
-//! must produce bit-identical [`MetricPoint`]s for the same matrix.
+//! must produce bit-identical [`RunRecord`] statistics for the same matrix.
 
-use dtn_bench::{run_matrix, ProtocolKind, ProtocolSpec, RunSpec, SweepConfig};
-use dtn_sim::MetricPoint;
+use dtn_bench::{
+    run_matrix_records, ProtocolKind, ProtocolSpec, RunRecord, RunSpec, ScenarioCache, SweepConfig,
+};
 
 /// A small but non-trivial matrix: four protocol families (including CR,
 /// which resolves a community map per scenario) over two node counts, on a
@@ -27,8 +28,9 @@ fn matrix() -> Vec<RunSpec> {
     specs
 }
 
-fn run_with_threads(threads: usize) -> Vec<MetricPoint> {
-    run_matrix(
+fn run_with_threads(threads: usize) -> Vec<RunRecord> {
+    run_matrix_records(
+        &ScenarioCache::new(),
         &matrix(),
         SweepConfig {
             seeds: 2,
@@ -44,33 +46,17 @@ fn thread_count_does_not_change_results() {
     let multi = run_with_threads(8);
     assert_eq!(single.len(), multi.len());
     for (i, (a, b)) in single.iter().zip(&multi).enumerate() {
-        assert_eq!(a.runs, b.runs, "spec {i}: run count differs");
-        // Bitwise equality: identical (spec, seed) cells must reduce to
-        // identical floats, not merely close ones.
+        assert_eq!(a.cell, b.cell, "record {i}: cell identity differs");
+        // Bitwise equality: identical (spec, seed) cells must produce
+        // identical counters and float accumulators, not merely close ones.
         assert_eq!(
-            a.delivery_ratio.to_bits(),
-            b.delivery_ratio.to_bits(),
-            "spec {i}: delivery ratio differs across thread counts"
+            a.stats, b.stats,
+            "record {i}: stats differ across thread counts"
         );
         assert_eq!(
-            a.latency.to_bits(),
-            b.latency.to_bits(),
-            "spec {i}: latency differs across thread counts"
-        );
-        assert_eq!(
-            a.goodput.to_bits(),
-            b.goodput.to_bits(),
-            "spec {i}: goodput differs across thread counts"
-        );
-        assert_eq!(
-            a.relayed.to_bits(),
-            b.relayed.to_bits(),
-            "spec {i}: relay count differs across thread counts"
-        );
-        assert_eq!(
-            a.control_mb.to_bits(),
-            b.control_mb.to_bits(),
-            "spec {i}: control traffic differs across thread counts"
+            a.stats.latency_sum.to_bits(),
+            b.stats.latency_sum.to_bits(),
+            "record {i}: latency accumulation differs across thread counts"
         );
     }
 }

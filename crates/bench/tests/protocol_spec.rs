@@ -6,7 +6,7 @@
 
 use ce_core::{BufferPolicy, EmdMode};
 use dtn_bench::{
-    run_matrix_with, ProtocolKind, ProtocolParams, ProtocolSpec, RunSpec, ScenarioCache,
+    run_matrix_records, ProtocolKind, ProtocolParams, ProtocolSpec, RunSpec, ScenarioCache,
     SweepConfig,
 };
 use dtn_testutil::arb_protocol_spec;
@@ -88,7 +88,7 @@ fn paper_defaults_match_former_constants() {
 }
 
 /// Two λ values of one protocol occupy distinct `ScenarioKey`s (cell keys),
-/// share the underlying scenario build, and reduce to bit-identical results
+/// share the underlying scenario build, and produce bit-identical records
 /// under 1 vs 8 worker threads.
 #[test]
 fn lambda_variants_key_distinctly_and_stay_thread_invariant() {
@@ -113,7 +113,7 @@ fn lambda_variants_key_distinctly_and_stay_thread_invariant() {
 
     let specs = vec![lo, hi];
     let run = |threads: usize, cache: &ScenarioCache| {
-        run_matrix_with(
+        run_matrix_records(
             cache,
             &specs,
             SweepConfig {
@@ -129,14 +129,11 @@ fn lambda_variants_key_distinctly_and_stay_thread_invariant() {
     // build per seed, not one per (λ, seed).
     assert_eq!(cache.len(), 2, "scenario builds must be shared across λ");
     let multi = run(8, &ScenarioCache::new());
-    assert_eq!(single.len(), 2);
+    assert_eq!(single.len(), 4, "2 specs x 2 seeds");
     for (a, b) in single.iter().zip(&multi) {
-        assert_eq!(a.runs, 2);
-        assert_eq!(a.delivery_ratio.to_bits(), b.delivery_ratio.to_bits());
-        assert_eq!(a.latency.to_bits(), b.latency.to_bits());
-        assert_eq!(a.goodput.to_bits(), b.goodput.to_bits());
-        assert_eq!(a.relayed.to_bits(), b.relayed.to_bits());
-        assert_eq!(a.control_mb.to_bits(), b.control_mb.to_bits());
+        assert_eq!(a.cell, b.cell);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.stats.latency_sum.to_bits(), b.stats.latency_sum.to_bits());
     }
 }
 

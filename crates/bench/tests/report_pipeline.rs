@@ -117,10 +117,13 @@ fn json_round_trip_on_real_records() {
 #[test]
 fn identical_runs_have_zero_width_ci() {
     let report = real_report();
-    // Duplicate one record under a fresh seed: every per-run value of that
-    // cell is now identical, so spread statistics must collapse to zero.
+    // Duplicate one record under a fresh seed (and so a fresh cell key):
+    // every per-run value of that cell is now identical, so spread
+    // statistics must collapse to zero.
     let mut twin = report.records[0].clone();
     twin.seed = 99;
+    twin.cell = twin.cell.replace("|seed=1|", "|seed=99|");
+    assert_ne!(twin.cell, report.records[0].cell);
     let mut degenerate = ReportSpec::new("degenerate");
     degenerate.push(report.records[0].clone());
     degenerate.push(twin);

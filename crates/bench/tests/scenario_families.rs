@@ -5,16 +5,15 @@
 //! collision the old `(n_nodes, seed, duration)` key allowed).
 
 use dtn_bench::{
-    run_matrix_records, run_matrix_with, ProbeSpec, ProtocolKind, ProtocolSpec, RunSpec,
-    ScenarioCache, ScenarioSpec, SweepConfig, WorkloadSpec,
+    run_matrix_records, ProbeSpec, ProtocolKind, ProtocolSpec, RunRecord, RunSpec, ScenarioCache,
+    ScenarioSpec, SweepConfig, WorkloadSpec,
 };
-use dtn_sim::MetricPoint;
 use dtn_testutil::family_matrix;
 use std::sync::Arc;
 
-fn run_with_threads(threads: usize) -> (Vec<MetricPoint>, usize) {
+fn run_with_threads(threads: usize) -> (Vec<RunRecord>, usize) {
     let cache = ScenarioCache::new();
-    let points = run_matrix_with(
+    let records = run_matrix_records(
         &cache,
         &family_matrix(),
         SweepConfig {
@@ -23,7 +22,7 @@ fn run_with_threads(threads: usize) -> (Vec<MetricPoint>, usize) {
             verbose: false,
         },
     );
-    (points, cache.len())
+    (records, cache.len())
 }
 
 #[test]
@@ -32,34 +31,22 @@ fn cross_scenario_matrix_is_thread_invariant() {
     let (multi, _) = run_with_threads(8);
     assert_eq!(single.len(), multi.len());
     for (i, (a, b)) in single.iter().zip(&multi).enumerate() {
-        assert_eq!(a.runs, b.runs, "spec {i}: run count differs");
-        // Bitwise equality: identical (spec, seed) cells must reduce to
-        // identical floats, not merely close ones.
+        assert_eq!(a.cell, b.cell, "record {i}: cell identity differs");
+        // Bitwise equality: identical (spec, seed) cells must produce
+        // identical counters and float accumulators, not merely close ones.
         assert_eq!(
-            a.delivery_ratio.to_bits(),
-            b.delivery_ratio.to_bits(),
-            "spec {i}: delivery ratio differs across thread counts"
+            a.stats, b.stats,
+            "record {i}: stats differ across thread counts"
         );
         assert_eq!(
-            a.latency.to_bits(),
-            b.latency.to_bits(),
-            "spec {i}: latency differs across thread counts"
-        );
-        assert_eq!(
-            a.goodput.to_bits(),
-            b.goodput.to_bits(),
-            "spec {i}: goodput differs across thread counts"
-        );
-        assert_eq!(
-            a.relayed.to_bits(),
-            b.relayed.to_bits(),
-            "spec {i}: relay count differs across thread counts"
+            a.stats.latency_sum.to_bits(),
+            b.stats.latency_sum.to_bits(),
+            "record {i}: latency accumulation differs across thread counts"
         );
     }
     // The sweep must have done real work on every family.
-    let delivered: Vec<bool> = single.iter().map(|p| p.delivery_ratio > 0.0).collect();
     assert!(
-        delivered.iter().any(|&d| d),
+        single.iter().any(|r| r.stats.delivered > 0),
         "no family delivered anything: {single:?}"
     );
 }

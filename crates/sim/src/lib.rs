@@ -79,7 +79,7 @@ pub use observe::{
 };
 pub use router::{ContactCtx, NodeCtx, Router, SentSet, TransferAction, TransferPlan};
 pub use source::{ContactEvent, ContactSource, TraceReplaySource};
-pub use stats::{MetricPoint, SimStats, StatsSnapshot};
+pub use stats::{SimStats, StatsSnapshot};
 pub use time::SimTime;
 pub use trace::{Contact, ContactTrace, TraceError, TraceStats};
 
@@ -91,7 +91,7 @@ pub mod prelude {
     pub use crate::message::{Message, MessageSpec, TrafficConfig};
     pub use crate::router::{ContactCtx, NodeCtx, Router, SentSet, TransferAction, TransferPlan};
     pub use crate::source::{ContactEvent, ContactSource, TraceReplaySource};
-    pub use crate::stats::{MetricPoint, SimStats, StatsSnapshot};
+    pub use crate::stats::{SimStats, StatsSnapshot};
     pub use crate::time::SimTime;
     pub use crate::trace::{Contact, ContactTrace, TraceStats};
 }

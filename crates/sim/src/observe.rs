@@ -347,11 +347,6 @@ impl TimeSeriesProbe {
     pub fn series(&self) -> &TimeSeries {
         &self.series
     }
-
-    /// Consumes the probe, yielding its samples.
-    pub fn into_series(self) -> TimeSeries {
-        self.series
-    }
 }
 
 impl SimObserver for TimeSeriesProbe {
@@ -470,11 +465,6 @@ impl LatencyHistogramProbe {
     /// The summary; complete once the run has ended.
     pub fn histogram(&self) -> &LatencyHistogram {
         &self.summary
-    }
-
-    /// Consumes the probe, yielding the summary.
-    pub fn into_histogram(self) -> LatencyHistogram {
-        self.summary
     }
 
     /// The log₂ bucket index of a latency in seconds.

@@ -293,46 +293,6 @@ impl StatsSnapshot {
     }
 }
 
-/// The aggregate of several runs (different seeds) of the same configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MetricPoint {
-    /// Mean delivery ratio across runs.
-    pub delivery_ratio: f64,
-    /// Mean latency (s) across runs.
-    pub latency: f64,
-    /// Mean goodput across runs.
-    pub goodput: f64,
-    /// Mean relayed-message count across runs.
-    pub relayed: f64,
-    /// Mean control-plane traffic across runs, in megabytes.
-    pub control_mb: f64,
-    /// Number of runs averaged.
-    pub runs: u32,
-}
-
-impl MetricPoint {
-    /// Averages the headline metrics of `stats`.
-    pub fn from_runs(stats: &[SimStats]) -> Self {
-        Self::from_snapshots(&stats.iter().map(SimStats::snapshot).collect::<Vec<_>>())
-    }
-
-    /// Averages the headline metrics of per-run snapshots.
-    pub fn from_snapshots(snaps: &[StatsSnapshot]) -> Self {
-        if snaps.is_empty() {
-            return MetricPoint::default();
-        }
-        let n = snaps.len() as f64;
-        MetricPoint {
-            delivery_ratio: snaps.iter().map(|s| s.delivery_ratio()).sum::<f64>() / n,
-            latency: snaps.iter().map(|s| s.avg_latency()).sum::<f64>() / n,
-            goodput: snaps.iter().map(|s| s.goodput()).sum::<f64>() / n,
-            relayed: snaps.iter().map(|s| s.relayed as f64).sum::<f64>() / n,
-            control_mb: snaps.iter().map(|s| s.control_mb()).sum::<f64>() / n,
-            runs: snaps.len() as u32,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,28 +331,5 @@ mod tests {
         s.record_arrival(MessageId(1), SimTime::ZERO, SimTime::secs(2.0), 1);
         assert_eq!(s.goodput(), 0.2);
         assert_eq!(s.overhead_ratio(), 4.0);
-    }
-
-    #[test]
-    fn metric_point_averages() {
-        let mut a = SimStats::new(1);
-        a.created = 1;
-        a.relayed = 2;
-        a.record_arrival(MessageId(0), SimTime::ZERO, SimTime::secs(4.0), 1);
-        let mut b = SimStats::new(1);
-        b.created = 1;
-        b.relayed = 4;
-        let p = MetricPoint::from_runs(&[a, b]);
-        assert_eq!(p.runs, 2);
-        assert!((p.delivery_ratio - 0.5).abs() < 1e-12);
-        assert!((p.latency - 2.0).abs() < 1e-12);
-        assert!((p.goodput - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metric_point_empty() {
-        let p = MetricPoint::from_runs(&[]);
-        assert_eq!(p.runs, 0);
-        assert_eq!(p.delivery_ratio, 0.0);
     }
 }
