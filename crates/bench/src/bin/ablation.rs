@@ -172,8 +172,7 @@ fn detected_communities(argv: Vec<String>) {
     let store = args.open_store();
     let mut report = ReportSpec::new("Ablation: CR with ground-truth vs detected communities");
     report.records = run_matrix_records_stored(&cache, &specs, cfg, store.as_ref());
-    // Positional view, not cells(): a trace scenario ignores the node
-    // count, so its per-n sweep points merge into one cell.
+    // One summary per spec, in spec (variant-major) order.
     let spec_cells = report.spec_cells(cfg.effective_seeds() as usize);
 
     // Truth-vs-detected agreement per node count, from the same cached
@@ -207,11 +206,12 @@ fn detected_communities(argv: Vec<String>) {
     );
     let per = args.node_counts.len();
     for (vi, (label, _)) in variants.iter().enumerate() {
-        for (xi, (&n, &agreement)) in args.node_counts.iter().zip(&agreements).enumerate() {
+        for (xi, &agreement) in agreements.iter().enumerate() {
             let cell = &spec_cells[vi * per + xi];
             let mean = |key| cell.metric(key).expect("always measured").mean;
             println!(
-                "{label:<12}{n:>6}{agreement:>11.3}{:>9.3}{:>9.1}{:>9.4}{:>12.2}",
+                "{label:<12}{:>6}{agreement:>11.3}{:>9.3}{:>9.1}{:>9.4}{:>12.2}",
+                cell.n_nodes,
                 mean("delivery_ratio"),
                 mean("latency_s"),
                 mean("goodput"),

@@ -16,7 +16,7 @@
 //! cargo run -p dtn-bench --release --bin fig2 -- [--full|--quick] [--seeds K]
 //! ```
 
-use dtn_bench::report::{print_series_table, settings_table, write_text, CommonArgs};
+use dtn_bench::report::{panel_xs, print_series_table, settings_table, write_text, CommonArgs};
 use dtn_bench::{
     run_matrix_records_stored, ProbeSpec, ProtocolKind, ProtocolSpec, ReportSpec, RunSpec,
     ScenarioCache,
@@ -95,13 +95,11 @@ fn main() {
     report.records = run_matrix_records_stored(&cache, &specs, cfg, store.as_ref());
 
     // The paper's three-panel view: one summary per spec (protocol-major
-    // spec order). Not cells() — a trace scenario ignores the node count,
-    // so its sweep points merge into one cell.
+    // spec order), each column labelled with the node count its cells ran
+    // at.
     let spec_cells = report.spec_cells(cfg.effective_seeds() as usize);
-    print!(
-        "{}",
-        print_series_table(&report.title, &args.node_counts, &spec_cells)
-    );
+    let xs = panel_xs(&spec_cells, args.node_counts.len());
+    print!("{}", print_series_table(&report.title, &xs, &spec_cells));
     eprintln!();
 
     // Delivery-over-time curves, aggregated across seeds per cell — derived

@@ -96,12 +96,20 @@ pub fn print_series_table(title: &str, xs: &[u32], cells: &[CellSummary]) -> Str
     out
 }
 
+/// The x values of a figure's panels: the node count each of the first
+/// series' `per_series` cells ran at, which for a replayed trace is the
+/// recording's.
+pub fn panel_xs(cells: &[CellSummary], per_series: usize) -> Vec<u32> {
+    cells[..per_series].iter().map(|c| c.n_nodes).collect()
+}
+
 /// Parses common CLI flags shared by the figure binaries.
 #[derive(Clone, Debug)]
 pub struct CommonArgs {
     /// Seeds per point.
     pub seeds: u32,
-    /// Node counts to sweep.
+    /// Node counts to sweep: exactly one for a scenario that fixes its node
+    /// count (a replayed trace, `paper:n=N`, `city:n=N`).
     pub node_counts: Vec<u32>,
     /// Scenario family argument (`--scenario`), resolved per node count via
     /// [`CommonArgs::scenario_for`].
@@ -239,28 +247,41 @@ impl CommonArgs {
         if let Some(k) = seeds.or(preset_seeds) {
             out.seeds = k;
         }
+        let explicit_nodes = nodes.is_some();
         if let Some(ns) = nodes.or(preset_nodes) {
             out.node_counts = ns;
         }
         if out.seeds == 0 || out.node_counts.is_empty() {
             return Err("need at least one seed and one node count".into());
         }
-        if out.duration.is_some()
-            && ScenarioSpec::parse(&out.scenario, 2)?
-                .default_duration()
-                .is_none()
-        {
+        let scenario = ScenarioSpec::parse(&out.scenario, 2)?;
+        if out.duration.is_some() && scenario.default_duration().is_none() {
             return Err(
                 "--duration cannot be combined with trace replay: a replayed trace runs at \
                  its recorded horizon"
                     .into(),
             );
         }
+        // A scenario that fixes its node count (a replayed trace,
+        // `paper:n=N`, `city:n=N`) gives a sweep one point; more would rerun
+        // identical cells.
+        if scenario.cache_key() == ScenarioSpec::parse(&out.scenario, 3)?.cache_key() {
+            if explicit_nodes && out.node_counts.len() > 1 {
+                let list: Vec<String> = out.node_counts.iter().map(u32::to_string).collect();
+                return Err(format!(
+                    "--nodes: scenario `{}` fixes its node count; give at most one value, got {}",
+                    out.scenario,
+                    list.join(",")
+                ));
+            }
+            out.node_counts.truncate(1);
+        }
         Ok(Some(out))
     }
 
     /// The scenario spec for the sweep's `n`-node point. Trace replay
-    /// ignores `n` (the recording fixes the node count).
+    /// ignores `n` (the recording fixes the node count), as do `paper:n=N`
+    /// and `city:n=N`; their sweeps have one point.
     pub fn scenario_for(&self, n: u32) -> ScenarioSpec {
         ScenarioSpec::parse(&self.scenario, n).expect("validated at parse time")
     }
@@ -476,6 +497,23 @@ trace EER           0.2250    0.2250
             vec![40, 80, 120, 160, 200, 240]
         );
         assert_eq!(ablation(&["--quick"]), vec![40, 120, 200]);
+
+        // A scenario that fixes its node count sweeps one point: a default
+        // or preset list collapses, one explicit count passes, several are
+        // refused. A family sized by `--nodes` keeps the list.
+        assert_eq!(parse(&["--scenario", "paper:n=20"]).node_counts, vec![40]);
+        let q = parse(&["--scenario", "city:n=20", "--quick"]);
+        assert_eq!(q.node_counts, vec![40]);
+        let one = parse(&["--scenario", "paper:n=20", "--nodes", "16"]);
+        assert_eq!(one.node_counts, vec![16]);
+        let many = ["--scenario", "paper:n=20", "--nodes", "12,16"];
+        assert_eq!(
+            CommonArgs::parse(many.map(String::from).into_iter()).unwrap_err(),
+            "--nodes: scenario `paper:n=20` fixes its node count; give at most one value, \
+             got 12,16"
+        );
+        let city = parse(&["--scenario", "city", "--nodes", "12,16"]);
+        assert_eq!(city.node_counts, vec![12, 16]);
     }
 
     /// `--help` and `-h` are a request, not an error: `Ok(None)` wherever

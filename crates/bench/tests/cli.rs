@@ -1,7 +1,8 @@
 //! Command-line surfaces of the run binaries, driven through the real
 //! executables: usage errors name the flag and the value, removed flags
-//! fail as unknown, explicit flags win over defaults, and `dtnrun`'s
-//! delivery-progress table follows the run's horizon.
+//! fail as unknown, explicit flags win over defaults, a trace sweep runs
+//! each cell once, and `dtnrun`'s delivery-progress table follows the
+//! run's horizon.
 
 use std::process::Command;
 
@@ -93,6 +94,51 @@ fn ablation_default_nodes_yield_to_an_explicit_list() {
         header(&["--nodes", "40,80,120,160,200,240"]),
         "ablation lambda-one: 4 variants x [40, 80, 120, 160, 200, 240] nodes x 1 seeds"
     );
+    std::fs::remove_file(&out).ok();
+}
+
+/// A replayed trace fixes the node count, so a trace sweep runs each cell
+/// once: the default node list collapses to one point, whose panel column
+/// is labelled with the recording's node count, and an explicit list of
+/// several counts is a usage error naming `--nodes`.
+#[test]
+fn trace_sweeps_run_each_cell_once() {
+    let dir = std::env::temp_dir();
+    let trace = dir.join(format!("trace_sweep_{}.trace", std::process::id()));
+    let out = dir.join(format!("trace_sweep_{}.json", std::process::id()));
+    std::fs::write(
+        &trace,
+        "nodes 5 duration 600\n0 1 10 40\n1 2 30 90\n2 3 100 160\n3 4 200 260\n0 4 300 400\n",
+    )
+    .unwrap();
+    let scenario = format!("trace:{}", trace.display());
+    let out_flag = format!("json:{}", out.display());
+    let fig3 = env!("CARGO_BIN_EXE_fig3");
+    let sweep = [
+        "--scenario",
+        &scenario,
+        "--seeds",
+        "2",
+        "--no-store",
+        "--threads",
+        "1",
+        "--out",
+        &out_flag,
+    ];
+    let (code, stdout, err) = run(fig3, &sweep);
+    assert_eq!(code, 0, "{err}");
+    let report = std::fs::read_to_string(&out).unwrap();
+    let report = dtn_bench::ReportSpec::from_json_str(&report).unwrap();
+    // Four lambdas at one point, two seeds each.
+    assert_eq!(report.records.len(), 8);
+    assert!(
+        stdout.lines().any(|l| l.split_whitespace().eq(["N", "5"])),
+        "{stdout}"
+    );
+    let (code, _, err) = run(fig3, &[&sweep[..], &["--nodes", "12,16"]].concat());
+    assert_eq!(code, 2, "{err}");
+    assert!(err.starts_with("--nodes: "), "{err}");
+    std::fs::remove_file(&trace).ok();
     std::fs::remove_file(&out).ok();
 }
 

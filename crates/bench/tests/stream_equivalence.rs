@@ -4,7 +4,7 @@
 //! ([`dtn_bench::run_on_observed`] on the cached scenario) bit for bit —
 //! statistics, time-series curves and latency histograms alike. This pins
 //! the whole chain: windowed contact generation, the engine's source pump,
-//! and the event queue's contact sequence band — and, through the sweep,
+//! and the event queue's contact lane — and, through the sweep,
 //! that a cell [`dtn_bench::run_cell`] streams is recorded and stored like
 //! its materialized twin.
 

@@ -22,15 +22,21 @@
 //! A rebuild computes each node's wrapped table cell once; the pair scan
 //! then visits every pair of adjacent cells from one side only — a cell
 //! with itself, with its east neighbour and with the three cells below it —
-//! with no integer division and no hashing, and sorts the pairs it finds
-//! into the list. With fewer than three cells on an axis a cell pair can be
-//! reached from both of its cells, so a pair can be found twice; the sort
-//! deduplicates. A step costs O(n + list) for the sparse densities of
-//! vehicular scenarios and allocates nothing in steady state.
+//! with no integer division and no hashing. Two stable counting passes over
+//! node ids, by `b` and then by `a`, sort the pairs it finds into the list.
+//! With fewer than three cells on an axis a cell pair can be reached from
+//! both of its cells, so a pair can be found twice; the sort deduplicates.
 //!
-//! Open contacts are a pair-sorted list. Each step merges it with the
-//! listed pairs in range, which are pair-sorted as the list is: a pair only
-//! in the open list has closed, a pair only in the step has opened.
+//! Each listed pair carries its open state beside the list: the start time
+//! of its open contact, or none. A step is one pass over the list that
+//! tests each pair against `range` and touches the state only of a pair
+//! whose in-range bit flipped: it opens (an up, in pair order) or closes (a
+//! down carrying its recorded start). A rebuild carries the open times of
+//! pairs the new list keeps and closes every open pair it drops, which is
+//! out of `reach` and so out of range. A step costs O(n + list) for the
+//! sparse densities of vehicular scenarios and allocates nothing in steady
+//! state.
+//!
 //! [`ContactStepper`] exposes the detector one sampling step at a time,
 //! emitting opened and closed contacts — which is what lets contact supply
 //! stream into the engine window-by-window (see [`crate::stream`]) instead
@@ -279,15 +285,16 @@ fn neighbour_list_shape(trajs: &[Trajectory], cfg: ContactGenConfig) -> (u64, f6
 /// Incremental, windowed contact detector over a fixed trajectory set.
 ///
 /// Owns all scratch state — per-trajectory cursor positions, the flat
-/// spatial grid, the neighbour list, the pair-sorted list of open contacts
-/// and its merge target — so that a steady-state [`ContactStepper::step`]
-/// performs zero heap allocations once buffers are warm. A step samples
-/// every position; on a rebuild step it bins them into the grid and lists
-/// the pairs within `reach`; then it merges the listed pairs in range into
-/// the open contacts. [`generate_trace`] drives the stepper to completion
-/// for the materialized path; [`crate::stream::MobilityContactSource`]
-/// drives it window-by-window so a run never holds the whole-horizon
-/// contact process in memory.
+/// spatial grid, the neighbour list with each listed pair's open state, and
+/// the rebuild's sort buffers — so that a steady-state
+/// [`ContactStepper::step`] performs zero heap allocations once buffers are
+/// warm. A step samples every position; on a rebuild step it bins them into
+/// the grid, lists the pairs within `reach` and carries the open contacts
+/// over; then one pass over the list tests each pair against `range`.
+/// [`generate_trace`] drives the stepper to completion for the materialized
+/// path; [`crate::stream::MobilityContactSource`] drives it
+/// window-by-window so a run never holds the whole-horizon contact process
+/// in memory.
 #[derive(Debug)]
 pub struct ContactStepper {
     cfg: ContactGenConfig,
@@ -305,10 +312,63 @@ pub struct ContactStepper {
     grid: FlatGrid,
     /// The pairs within `reach` at the last rebuild, sorted by pair.
     neighbours: Vec<NodePair>,
-    /// Open contacts `(pair, start time)`, sorted by pair.
-    open: Vec<(NodePair, f64)>,
-    /// The merge target of the next step; swapped with `open` after it.
-    next_open: Vec<(NodePair, f64)>,
+    /// Per listed pair, slot for slot, the start of its open contact, or
+    /// [`CLOSED`].
+    since: Vec<f64>,
+    /// Rebuild scratch: the scanned pairs, sorted into the next list.
+    scanned: Vec<NodePair>,
+    /// Rebuild scratch: the first counting pass's output.
+    by_b: Vec<NodePair>,
+    /// Rebuild scratch: per-node-id counts and offsets of a counting pass.
+    counts: Vec<u32>,
+    /// Rebuild scratch: the next list's open times.
+    next_since: Vec<f64>,
+}
+
+/// The `since` of a listed pair that is not in contact.
+const CLOSED: f64 = f64::NEG_INFINITY;
+
+/// The contact of `pair` from `start` to `end`.
+fn closed(pair: NodePair, start: f64, end: f64) -> Contact {
+    Contact {
+        pair,
+        start: SimTime::secs(start),
+        end: SimTime::secs(end),
+    }
+}
+
+/// Sorts `pairs` by `(a, b)` and drops repeats, with two stable counting
+/// passes over node ids below `n`: by `b` into `tmp`, then by `a` back into
+/// `pairs`. `tmp` and `counts` are scratch, reused across calls.
+fn sort_pairs(pairs: &mut Vec<NodePair>, tmp: &mut Vec<NodePair>, counts: &mut Vec<u32>, n: usize) {
+    tmp.clone_from(pairs);
+    counts.resize(n, 0);
+    counting_pass(pairs, tmp, counts, |p| p.b);
+    counting_pass(tmp, pairs, counts, |p| p.a);
+    pairs.dedup();
+}
+
+/// Scatters `src` into `dst`, stably ordered by `key`. `counts` has one
+/// entry per possible key.
+fn counting_pass(
+    src: &[NodePair],
+    dst: &mut [NodePair],
+    counts: &mut [u32],
+    key: impl Fn(&NodePair) -> NodeId,
+) {
+    counts.fill(0);
+    for p in src {
+        counts[key(p).idx()] += 1;
+    }
+    let mut offset = 0;
+    for c in counts.iter_mut() {
+        (*c, offset) = (offset, offset + *c);
+    }
+    for p in src {
+        let slot = &mut counts[key(p).idx()];
+        dst[*slot as usize] = *p;
+        *slot += 1;
+    }
 }
 
 impl ContactStepper {
@@ -333,8 +393,11 @@ impl ContactStepper {
             positions: vec![Point::default(); n],
             grid: FlatGrid::default(),
             neighbours: Vec::new(),
-            open: Vec::new(),
-            next_open: Vec::new(),
+            since: Vec::new(),
+            scanned: Vec::new(),
+            by_b: Vec::new(),
+            counts: Vec::new(),
+            next_since: Vec::new(),
         }
     }
 
@@ -370,15 +433,14 @@ impl ContactStepper {
             return None;
         }
         let down_base = downs.len();
-        let closed = |(pair, start): (NodePair, f64), end: f64| Contact {
-            pair,
-            start: SimTime::secs(start),
-            end: SimTime::secs(end),
-        };
         let t = if self.step >= self.steps {
             self.finalized = true;
             let end = self.duration;
-            downs.extend(self.open.drain(..).map(|o| closed(o, end)));
+            for (&pair, &since) in self.neighbours.iter().zip(&self.since) {
+                if since != CLOSED {
+                    downs.push(closed(pair, since, end));
+                }
+            }
             end
         } else {
             let t = self.step as f64 * self.cfg.dt;
@@ -388,44 +450,61 @@ impl ContactStepper {
                 self.segs[i] = cur.seg();
             }
             if self.step.is_multiple_of(self.period) {
-                self.grid.build(&self.positions, self.reach);
-                self.neighbours.clear();
-                self.grid.pairs_within(self.reach, &mut self.neighbours);
-                // The key orders pairs as `NodePair`'s `Ord` does, in one
-                // compare.
-                self.neighbours
-                    .sort_unstable_by_key(|p| (u64::from(p.a.0) << 32) | u64::from(p.b.0));
-                self.neighbours.dedup();
+                self.rebuild(t, downs);
             }
+            // Only a pair whose in-range bit flipped touches its state; the
+            // list is pair-sorted, so the ups need no sort.
             let range_sq = self.cfg.range * self.cfg.range;
             let positions = &self.positions;
-            let in_range = self.neighbours.iter().filter(|p| {
-                positions[p.a.0 as usize].dist_sq(positions[p.b.0 as usize]) <= range_sq
-            });
-            // Both lists are pair-sorted: a pair only in `open` has closed,
-            // one only in range has opened — in pair order, so the ups need
-            // no sort.
-            self.next_open.clear();
-            let mut open = self.open.iter().peekable();
-            for &pair in in_range {
-                while let Some(&gone) = open.next_if(|o| o.0 < pair) {
-                    downs.push(closed(gone, t));
-                }
-                match open.next_if(|o| o.0 == pair) {
-                    Some(&kept) => self.next_open.push(kept),
-                    None => {
-                        self.next_open.push((pair, t));
+            for (&pair, since) in self.neighbours.iter().zip(&mut self.since) {
+                let within = positions[pair.a.idx()].dist_sq(positions[pair.b.idx()]) <= range_sq;
+                if within != (*since != CLOSED) {
+                    if within {
+                        *since = t;
                         ups.push(pair);
+                    } else {
+                        downs.push(closed(pair, *since, t));
+                        *since = CLOSED;
                     }
                 }
             }
-            downs.extend(open.map(|&gone| closed(gone, t)));
-            std::mem::swap(&mut self.open, &mut self.next_open);
             self.step += 1;
             t
         };
         downs[down_base..].sort_unstable_by_key(|c| (c.start, c.pair));
         Some(t)
+    }
+
+    /// Lists the pairs within `reach` of the positions at `t` as the new
+    /// neighbour list, carrying each listed pair's open state over from the
+    /// old list and closing at `t`, onto `downs`, every open pair the new
+    /// list lacks: it is out of `reach`, so out of range.
+    fn rebuild(&mut self, t: f64, downs: &mut Vec<Contact>) {
+        self.grid.build(&self.positions, self.reach);
+        self.scanned.clear();
+        self.grid.pairs_within(self.reach, &mut self.scanned);
+        let n = self.positions.len();
+        sort_pairs(&mut self.scanned, &mut self.by_b, &mut self.counts, n);
+        // Both lists are pair-sorted: merge them.
+        self.next_since.clear();
+        let mut old = self.neighbours.iter().zip(&self.since).peekable();
+        for &pair in &self.scanned {
+            while let Some((&gone, &since)) = old.next_if(|&(&o, _)| o < pair) {
+                if since != CLOSED {
+                    downs.push(closed(gone, since, t));
+                }
+            }
+            let kept = old.next_if(|&(&o, _)| o == pair);
+            self.next_since
+                .push(kept.map_or(CLOSED, |(_, &since)| since));
+        }
+        for (&gone, &since) in old {
+            if since != CLOSED {
+                downs.push(closed(gone, since, t));
+            }
+        }
+        std::mem::swap(&mut self.neighbours, &mut self.scanned);
+        std::mem::swap(&mut self.since, &mut self.next_since);
     }
 }
 
@@ -699,5 +778,37 @@ mod tests {
         listed.dedup();
         assert_eq!(raw_len, listed.len(), "the scan listed a pair twice");
         assert_eq!(listed, brute, "the scan missed or invented pairs");
+    }
+
+    /// The two counting passes sort and deduplicate exactly as
+    /// `sort_unstable` plus `dedup` do, on random pairs with repeats and
+    /// with ids up to `n − 1`, reusing their scratch across calls.
+    #[test]
+    fn counting_sort_matches_sort_and_dedup() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(26);
+        let (mut tmp, mut counts) = (Vec::new(), Vec::new());
+        for n in [2u32, 3, 17, 300] {
+            for len in [0usize, 1, 5, 64, 2000] {
+                let mut pairs: Vec<NodePair> = (0..len)
+                    .map(|_| {
+                        let a = rng.gen_range(0..n);
+                        let b = (a + rng.gen_range(1..n)) % n;
+                        NodePair::new(NodeId(a), NodeId(b))
+                    })
+                    .collect();
+                pairs.push(NodePair::new(NodeId(n - 1), NodeId(0)));
+                // Repeats, apart and adjacent, as a scan over a narrow
+                // table finds them.
+                let repeats: Vec<NodePair> = pairs.iter().step_by(3).copied().collect();
+                pairs.extend(repeats);
+                pairs.push(pairs[0]);
+                let mut want = pairs.clone();
+                want.sort_unstable();
+                want.dedup();
+                sort_pairs(&mut pairs, &mut tmp, &mut counts, n as usize);
+                assert_eq!(pairs, want, "n {n}, {len} random pairs");
+            }
+        }
     }
 }

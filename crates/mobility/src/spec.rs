@@ -935,13 +935,11 @@ mod tests {
             assert_eq!(stream.duration, 300.0, "{spec}");
             assert_eq!(stream.communities, s.communities, "{spec}");
             assert_eq!(stream.n_communities, s.n_communities, "{spec}");
-            // Same events, same engine-pop order, as trace replay.
+            // Same events, in the same (engine-pop) order, as trace replay.
             let mut expect = Vec::new();
             TraceReplaySource::new(&s.trace).next_window(300.0, &mut expect);
-            expect.sort_by_key(|e| e.at());
             let mut got = Vec::new();
             stream.source.next_window(300.0, &mut got);
-            got.sort_by_key(|e| e.at());
             assert_eq!(got, expect, "{spec}");
         }
     }

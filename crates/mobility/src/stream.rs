@@ -4,12 +4,13 @@
 //! [`ContactSource`] interface: each `next_window(until)` call advances the
 //! sampling loop only as far as `until`, emitting per step the contacts that
 //! closed (sorted by `(start, pair)`) followed by the pairs that opened
-//! (sorted by pair). That is exactly the tie order a materialized
+//! (sorted by pair), all at the step's time. Steps come in time order, so
+//! the events do too, as the engine's contact lane requires, with exactly
+//! the tie order a materialized
 //! [`generate_trace`](crate::contacts::generate_trace) +
-//! [`dtn_sim::TraceReplaySource`] pair produces, so streaming and
-//! materialized runs are bit-identical — while peak memory stays bounded by
-//! the generation window (open contacts + one step's events), not the
-//! horizon.
+//! [`dtn_sim::TraceReplaySource`] pair produces: streaming and materialized
+//! runs are bit-identical, while peak memory stays bounded by the neighbour
+//! list and one window's events, not the horizon.
 
 use crate::contacts::{ContactGenConfig, ContactStepper};
 use crate::trajectory::Trajectory;
@@ -92,9 +93,9 @@ mod tests {
         out
     }
 
-    /// Streaming and trace replay deliver the same events in the same
-    /// engine-pop order (stable sort by time preserves the per-time
-    /// emission order, which is the contact-band sequence order).
+    /// Streaming and trace replay emit the same events in the same order,
+    /// which is the engine's pop order: the contact lane pops in emission
+    /// order.
     #[test]
     fn stream_matches_trace_replay_order() {
         let cfg = ScenarioConfig::small(10, 400.0);
@@ -106,15 +107,14 @@ mod tests {
         );
 
         let mut replay = TraceReplaySource::new(&trace);
-        let mut replayed = drain(&mut replay, 50.0);
-        replayed.sort_by_key(|e| e.at());
+        let replayed = drain(&mut replay, 50.0);
+        assert!(replayed.is_sorted_by_key(|e| e.at()));
 
         for window in [13.0, 60.0, 400.0] {
             let mut stream =
                 MobilityContactSource::new(sc.trajectories.clone(), cfg.duration, cfg.contact);
             assert_eq!(stream.n_nodes(), 10);
-            let mut streamed = drain(&mut stream, window);
-            streamed.sort_by_key(|e| e.at());
+            let streamed = drain(&mut stream, window);
             assert_eq!(streamed, replayed, "window {window}");
         }
     }

@@ -1,10 +1,11 @@
 //! Property-based tests of the mobility substrate: trajectory sampling and,
 //! crucially, that the contact stepper's neighbour list agrees with a
-//! brute-force O(n²) reference. The fast trajectories of the first
-//! proptests rebuild the list at every step; the slow ones, the head-on
-//! ladder and the jumping node check the steps between rebuilds.
+//! brute-force O(n²) reference, over whole traces and step by step, down to
+//! the start time each closed contact carries. The fast trajectories of the
+//! first proptests rebuild the list at every step; the slow ones, the
+//! head-on ladder and the jumping node check the steps between rebuilds.
 
-use dtn_mobility::contacts::{generate_trace, ContactGenConfig};
+use dtn_mobility::contacts::{generate_trace, ContactGenConfig, ContactStepper};
 use dtn_mobility::geometry::Point;
 use dtn_mobility::trajectory::{Trajectory, TrajectoryCursor};
 use dtn_mobility::MobilityContactSource;
@@ -68,9 +69,9 @@ fn with_pinned_twin(mut trajs: Vec<Trajectory>) -> Vec<Trajectory> {
     trajs
 }
 
-/// The contacts as sortable bit-exact keys, sorted.
-fn contact_keys(contacts: &[Contact]) -> Vec<(NodePair, u64, u64)> {
-    let mut keys: Vec<_> = contacts
+/// The contacts as bit-exact keys, in their order.
+fn contact_bits(contacts: &[Contact]) -> Vec<(NodePair, u64, u64)> {
+    contacts
         .iter()
         .map(|c| {
             (
@@ -79,7 +80,12 @@ fn contact_keys(contacts: &[Contact]) -> Vec<(NodePair, u64, u64)> {
                 c.end.as_secs().to_bits(),
             )
         })
-        .collect();
+        .collect()
+}
+
+/// The contacts as sortable bit-exact keys, sorted.
+fn contact_keys(contacts: &[Contact]) -> Vec<(NodePair, u64, u64)> {
+    let mut keys = contact_bits(contacts);
     keys.sort();
     keys
 }
@@ -95,43 +101,112 @@ fn drain(src: &mut dyn ContactSource, window: f64) -> Vec<ContactEvent> {
     out
 }
 
-/// Brute-force contact detection: sample every pair at every step.
-fn brute_force(trajs: &[Trajectory], duration: f64, cfg: ContactGenConfig) -> ContactTrace {
-    let n = trajs.len();
-    let steps = (duration / cfg.dt).ceil() as u64;
-    let mut open: std::collections::HashMap<(usize, usize), f64> = Default::default();
-    let mut contacts = Vec::new();
-    for step in 0..steps {
-        let t = step as f64 * cfg.dt;
-        let pos: Vec<Point> = trajs.iter().map(|tr| tr.position_at(t)).collect();
-        for i in 0..n {
-            for j in i + 1..n {
-                let within = pos[i].dist_sq(pos[j]) <= cfg.range * cfg.range;
-                match (within, open.contains_key(&(i, j))) {
-                    (true, false) => {
-                        open.insert((i, j), t);
-                    }
-                    (false, true) => {
-                        let start = open.remove(&(i, j)).unwrap();
-                        contacts.push(Contact {
-                            pair: NodePair::new(NodeId(i as u32), NodeId(j as u32)),
-                            start: dtn_sim::SimTime::secs(start),
-                            end: dtn_sim::SimTime::secs(t),
-                        });
-                    }
-                    _ => {}
-                }
-            }
+/// Brute-force contact detection, one sampling step at a time: every pair
+/// is tested at every step. A step emits what [`ContactStepper::step`]
+/// documents — the contacts that closed at its time, sorted by
+/// `(start, pair)`, and the pairs that opened, sorted by pair — and the
+/// step at the horizon closes every contact still open.
+struct BruteStepper<'a> {
+    trajs: &'a [Trajectory],
+    duration: f64,
+    cfg: ContactGenConfig,
+    steps: u64,
+    step: u64,
+    open: std::collections::BTreeMap<NodePair, f64>,
+    finalized: bool,
+}
+
+impl<'a> BruteStepper<'a> {
+    fn new(trajs: &'a [Trajectory], duration: f64, cfg: ContactGenConfig) -> Self {
+        BruteStepper {
+            trajs,
+            duration,
+            cfg,
+            steps: (duration / cfg.dt).ceil() as u64,
+            step: 0,
+            open: Default::default(),
+            finalized: false,
         }
     }
-    for ((i, j), start) in open {
-        contacts.push(Contact {
-            pair: NodePair::new(NodeId(i as u32), NodeId(j as u32)),
+
+    fn step(&mut self, downs: &mut Vec<Contact>, ups: &mut Vec<NodePair>) -> Option<f64> {
+        if self.finalized {
+            return None;
+        }
+        let closed = |pair, start: f64, end: f64| Contact {
+            pair,
             start: dtn_sim::SimTime::secs(start),
-            end: dtn_sim::SimTime::secs(duration),
-        });
+            end: dtn_sim::SimTime::secs(end),
+        };
+        let base = downs.len();
+        let t = if self.step == self.steps {
+            self.finalized = true;
+            for (pair, start) in std::mem::take(&mut self.open) {
+                downs.push(closed(pair, start, self.duration));
+            }
+            self.duration
+        } else {
+            let t = self.step as f64 * self.cfg.dt;
+            let pos: Vec<Point> = self.trajs.iter().map(|tr| tr.position_at(t)).collect();
+            for i in 0..pos.len() {
+                for j in i + 1..pos.len() {
+                    let pair = NodePair::new(NodeId(i as u32), NodeId(j as u32));
+                    let within = pos[i].dist_sq(pos[j]) <= self.cfg.range * self.cfg.range;
+                    match (within, self.open.get(&pair)) {
+                        (true, None) => {
+                            self.open.insert(pair, t);
+                            ups.push(pair);
+                        }
+                        (false, Some(&start)) => {
+                            self.open.remove(&pair);
+                            downs.push(closed(pair, start, t));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            self.step += 1;
+            t
+        };
+        downs[base..].sort_by_key(|c| (c.start, c.pair));
+        Some(t)
     }
-    ContactTrace::new(n as u32, duration, contacts)
+}
+
+/// Brute-force contact detection: sample every pair at every step.
+fn brute_force(trajs: &[Trajectory], duration: f64, cfg: ContactGenConfig) -> ContactTrace {
+    let mut reference = BruteStepper::new(trajs, duration, cfg);
+    let (mut contacts, mut ups) = (Vec::new(), Vec::new());
+    while reference.step(&mut contacts, &mut ups).is_some() {}
+    ContactTrace::new(trajs.len() as u32, duration, contacts)
+}
+
+/// Steps a [`ContactStepper`] and the brute-force reference side by side
+/// and asserts that every step emits the same ups and the same downs in the
+/// same order, each down with the start time it carries. Returns the downs
+/// of the horizon step: the contacts still open at the horizon.
+fn assert_steps_match(trajs: &[Trajectory], duration: f64, cfg: ContactGenConfig) -> Vec<Contact> {
+    let mut stepper = ContactStepper::new(trajs, duration, cfg);
+    let mut reference = BruteStepper::new(trajs, duration, cfg);
+    let (mut downs, mut ups) = (Vec::new(), Vec::new());
+    let (mut want_downs, mut want_ups) = (Vec::new(), Vec::new());
+    loop {
+        let last = std::mem::take(&mut downs);
+        ups.clear();
+        want_downs.clear();
+        want_ups.clear();
+        let t = stepper.step(trajs, &mut downs, &mut ups);
+        assert_eq!(t, reference.step(&mut want_downs, &mut want_ups));
+        let Some(t) = t else {
+            return last;
+        };
+        assert_eq!(ups, want_ups, "ups at t = {t}");
+        assert_eq!(
+            contact_bits(&downs),
+            contact_bits(&want_downs),
+            "downs at t = {t}"
+        );
+    }
 }
 
 proptest! {
@@ -164,12 +239,15 @@ proptest! {
         prop_assert!(!slow.contacts.is_empty(), "the pinned pair must meet");
         prop_assert_eq!(fast.contacts.len(), slow.contacts.len());
         prop_assert_eq!(contact_keys(&fast.contacts), contact_keys(&slow.contacts));
+        assert_steps_match(&trajs, duration, cfg);
     }
 
     /// Slow trajectories, whose neighbour list lives for several steps,
-    /// agree with the brute-force reference at every `dt`, and their
-    /// streamed windows — which end at arbitrary steps between rebuilds —
-    /// replay the materialized trace event for event.
+    /// agree with the brute-force reference at every `dt` and at every
+    /// step, and their streamed windows — which end at arbitrary steps
+    /// between rebuilds — replay the materialized trace event for event.
+    /// The pinned pair stays in contact from the first step across every
+    /// rebuild to the horizon, so its start must survive each carry.
     #[test]
     fn slow_trajectories_match_brute_force_and_stream(
         trajs in proptest::collection::vec(slow_trajectory_strategy(), 2..8),
@@ -183,12 +261,18 @@ proptest! {
         let slow = brute_force(&trajs, duration, cfg);
         prop_assert!(!slow.contacts.is_empty(), "the pinned pair must meet");
         prop_assert_eq!(contact_keys(&trace.contacts), contact_keys(&slow.contacts));
+        let pinned = NodePair::new(NodeId(0), NodeId(trajs.len() as u32 - 1));
+        let at_horizon = assert_steps_match(&trajs, duration, cfg);
+        prop_assert!(
+            at_horizon
+                .iter()
+                .any(|c| c.pair == pinned && c.start.as_secs() == 0.0),
+            "the pinned pair must stay open from t = 0 to the horizon"
+        );
 
-        // A stable sort by time puts both supplies in the engine's pop order.
-        let mut replayed = drain(&mut TraceReplaySource::new(&trace), duration);
-        replayed.sort_by_key(|e| e.at());
-        let mut streamed = drain(&mut MobilityContactSource::new(trajs, duration, cfg), window);
-        streamed.sort_by_key(|e| e.at());
+        // Both supplies emit in the engine's pop order.
+        let replayed = drain(&mut TraceReplaySource::new(&trace), duration);
+        let streamed = drain(&mut MobilityContactSource::new(trajs, duration, cfg), window);
         prop_assert_eq!(streamed, replayed);
     }
 
@@ -288,8 +372,11 @@ fn head_on_ladder_matches_brute_force() {
 
 /// A node that jumps (a zero-duration segment) into range of a parked one
 /// and later out of it. Its speed bound is infinite, so the list is rebuilt
-/// at every step and the contact opens at the first step after the jump, as
-/// in the brute-force reference.
+/// at every step (`K = 1`): the open pair is carried across each rebuild
+/// while in range, and after the jump out it is 100 m apart, so the next
+/// rebuild drops it from the list and must close it at that step with the
+/// start it carried. The contact opens and closes at the first step after
+/// each jump, as in the brute-force reference.
 #[test]
 fn jumping_node_matches_brute_force() {
     let parked = Trajectory::stationary(Point::new(0.0, 0.0));
@@ -313,5 +400,6 @@ fn jumping_node_matches_brute_force() {
             contact_keys(&slow.contacts),
             "dt {dt}"
         );
+        assert!(assert_steps_match(&trajs, 12.0, cfg).is_empty(), "dt {dt}");
     }
 }

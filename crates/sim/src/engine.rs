@@ -374,8 +374,8 @@ impl Simulation {
     /// Draws contact windows from the source until the earliest queued
     /// event lies strictly inside loaded territory (or the source is
     /// exhausted). Called before every pop, so an event at time `t` is only
-    /// processed once every contact starting at or before `t` is queued —
-    /// the streaming run pops the exact event sequence of a bulk load.
+    /// processed once every contact event at or before `t` is queued — the
+    /// streaming run pops the exact event sequence of a bulk load.
     fn pump_source(&mut self) {
         while self.loaded_until < self.duration {
             match self.events.peek_time() {

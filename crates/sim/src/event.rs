@@ -1,27 +1,28 @@
 //! The deterministic discrete-event queue.
 //!
-//! Events are ordered by time, with a monotone sequence number breaking ties
-//! so that equal-time events pop in scheduling (FIFO) order. This makes runs
+//! Events are ordered by time; ties break by scheduling order, so runs are
 //! bit-for-bit reproducible regardless of queue internals or platform.
-//! [`EventQueue`] keeps them in a binary heap, so push and pop cost
-//! O(log n) in the pending events; the engine queues contacts at most one
-//! supply window ahead of the clock.
+//! [`EventQueue`] keeps two lanes:
 //!
-//! ## Sequence bands
+//! * **the contact lane**, a FIFO of the contact events pushed through
+//!   [`EventQueue::push_contact`]. Every [`crate::source::ContactSource`]
+//!   emits in time order, so the lane stays sorted by itself: a push and a
+//!   pop cost O(1) and carry no sequence number. A push earlier than the
+//!   last one panics, naming both times;
+//! * **a binary heap** over `(time, seq)` for every other event (message
+//!   creation, transfer completion, sweeps, ticks, probe samples and the
+//!   end), where push and pop cost O(log n) in those few pending events.
 //!
-//! Contact events scheduled through [`EventQueue::push_contact`] draw
-//! sequence numbers from 0 upward, while every other event counts from a
-//! disjoint upper band. At equal times, contacts therefore pop before
-//! non-contact events, and among themselves in supply order — exactly the
-//! order the engine produced historically, when it pushed the whole contact
-//! trace into the queue before any workload event. Keeping the bands apart
-//! is what makes the streaming contact supply
-//! ([`crate::source::ContactSource`]) bit-compatible with bulk loading.
+//! At equal times the contact lane pops first, and within each lane events
+//! pop in push order. That is the order the engine produced historically,
+//! when it pushed the whole contact trace into the queue before any
+//! workload event, so the streaming contact supply is bit-compatible with
+//! bulk loading.
 
 use crate::ids::{MessageId, NodeId, NodePair};
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What can happen in the simulated world.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -76,11 +77,6 @@ pub enum EventKind {
     End,
 }
 
-/// First sequence number of the non-contact band (see module docs). The
-/// contact band below it never catches up: exhausting 2^62 contact events
-/// is unreachable within a run.
-const OTHER_SEQ_BASE: u64 = 1 << 62;
-
 #[derive(Clone, Copy, Debug)]
 struct Scheduled {
     time: SimTime,
@@ -105,78 +101,97 @@ impl Ord for Scheduled {
     }
 }
 
-/// A time-ordered, FIFO-tie-broken event queue: a binary heap over
-/// `(time, seq)`.
+/// A time-ordered, FIFO-tie-broken event queue: a FIFO lane of contact
+/// events beside a binary heap over `(time, seq)` for the rest.
 ///
-/// Pops come in nondecreasing time order and, at equal times, in scheduling
-/// order within each sequence band — contacts ([`EventQueue::push_contact`])
-/// before everything else ([`EventQueue::push`]).
-#[derive(Debug)]
+/// Pops come in nondecreasing time order and, at equal times, contacts
+/// ([`EventQueue::push_contact`]) before everything else
+/// ([`EventQueue::push`]), each lane in push order.
+#[derive(Debug, Default)]
 pub struct EventQueue {
+    /// Contact events in push order, which is nondecreasing time order.
+    contacts: VecDeque<(SimTime, EventKind)>,
+    /// The time of the last contact push; later pushes may not precede it.
+    last_contact: SimTime,
     heap: BinaryHeap<Reverse<Scheduled>>,
-    next_contact_seq: u64,
-    next_other_seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
+    next_seq: u64,
 }
 
 impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_contact_seq: 0,
-            next_other_seq: OTHER_SEQ_BASE,
-        }
+        Self::default()
     }
 
-    /// Schedules `kind` at `time` in the non-contact band.
+    /// Schedules a non-contact event `kind` at `time`.
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_other_seq;
-        self.next_other_seq += 1;
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.heap.push(Reverse(Scheduled { time, seq, kind }));
     }
 
-    /// Schedules a contact event at `time` in the contact band: at equal
+    /// Appends a contact event at `time` to the contact lane: at equal
     /// times, contact events pop before any event scheduled with
     /// [`EventQueue::push`], in `push_contact` call order. The engine's
     /// contact supply is the only intended caller.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the previous contact push.
     pub fn push_contact(&mut self, time: SimTime, kind: EventKind) {
         debug_assert!(
             matches!(
                 kind,
                 EventKind::ContactUp { .. } | EventKind::ContactDown { .. }
             ),
-            "contact band is reserved for contact events"
+            "the contact lane is reserved for contact events"
         );
-        let seq = self.next_contact_seq;
-        self.next_contact_seq += 1;
-        debug_assert!(seq < OTHER_SEQ_BASE, "contact sequence band exhausted");
-        self.heap.push(Reverse(Scheduled { time, seq, kind }));
+        assert!(
+            time >= self.last_contact,
+            "contact event at {} s pushed after one at {} s: contact events \
+             must come in time order",
+            time.as_secs(),
+            self.last_contact.as_secs()
+        );
+        self.last_contact = time;
+        self.contacts.push_back((time, kind));
     }
 
-    /// Pops the earliest event; FIFO among equal times (per band).
+    /// Whether the next pop comes from the contact lane.
+    #[inline]
+    fn contact_first(&self) -> bool {
+        match (self.contacts.front(), self.heap.peek()) {
+            (Some(&(t, _)), Some(Reverse(s))) => t <= s.time,
+            (front, _) => front.is_some(),
+        }
+    }
+
+    /// Pops the earliest event; contacts first at equal times, each lane in
+    /// push order.
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        self.heap.pop().map(|Reverse(s)| (s.time, s.kind))
+        if self.contact_first() {
+            self.contacts.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(s)| (s.time, s.kind))
+        }
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.time)
+        if self.contact_first() {
+            self.contacts.front().map(|&(t, _)| t)
+        } else {
+            self.heap.peek().map(|Reverse(s)| s.time)
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.contacts.len() + self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.contacts.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -235,6 +250,18 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, EventKind::ContactUp { pair });
         assert_eq!(q.pop().unwrap().1, EventKind::TtlSweep);
         assert_eq!(q.pop().unwrap().1, EventKind::End);
+    }
+
+    /// A contact lane that stays sorted by itself needs its pushes in time
+    /// order; a late one is a supply bug and must not pass silently.
+    #[test]
+    #[should_panic(expected = "contact event at 3.5 s pushed after one at 4 s")]
+    fn late_contact_push_panics() {
+        let pair = NodePair::new(NodeId(0), NodeId(1));
+        let mut q = EventQueue::new();
+        q.push_contact(SimTime::secs(4.0), EventKind::ContactUp { pair });
+        q.pop();
+        q.push_contact(SimTime::secs(3.5), EventKind::ContactDown { pair });
     }
 
     /// An event scheduled before the last popped time (never done by the
