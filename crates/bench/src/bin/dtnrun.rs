@@ -15,7 +15,7 @@
 use dtn_bench::report::{CommonArgs, OutputSpec, ReportSpec, RunRecord};
 use dtn_bench::{
     replay_artifact, resolve_store, run_cell, ProbeSpec, ProtocolSpec, RunSpec, ScenarioCache,
-    ScenarioSpec, WorkloadSpec,
+    WorkloadSpec,
 };
 use dtn_sim::report::{delivery_progress, latencies, percentile};
 use dtn_sim::SimStats;
@@ -206,18 +206,15 @@ fn main() {
         return;
     }
 
-    let scenario =
-        match ScenarioSpec::parse(args.scenario.as_deref().unwrap_or("paper"), args.nodes) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        };
-    if args.duration.is_some() && scenario.default_duration().is_none() {
-        eprintln!("--duration cannot be combined with trace replay: a replayed trace runs at its recorded horizon");
+    let scenario = CommonArgs::parse_scenario(
+        args.scenario.as_deref().unwrap_or("paper"),
+        args.nodes,
+        args.duration,
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    }
+    });
 
     let mut spec = RunSpec::on(
         args.protocol.kind().name(),

@@ -16,7 +16,7 @@
 use dtn_bench::report::{CommonArgs, OutputSpec, ReportSpec, RunRecord};
 use dtn_bench::{
     resolve_store, run_cell, ProbeSpec, ProtocolKind, ProtocolSpec, RunSpec, ScenarioCache,
-    ScenarioSpec, WorkloadSpec,
+    WorkloadSpec,
 };
 use std::time::Instant;
 
@@ -82,7 +82,7 @@ fn main() {
         }
     }
 
-    let scenario = ScenarioSpec::parse(&scenario_arg, n).unwrap_or_else(|e| {
+    let scenario = CommonArgs::parse_scenario(&scenario_arg, n, duration).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });

@@ -202,17 +202,7 @@ impl CommonArgs {
                     nodes = Some(Self::parse_nodes(&v)?);
                 }
                 "--scenario" => {
-                    let v = it.next().ok_or("--scenario needs a value")?;
-                    // Validate now — including the trace file's existence —
-                    // so typos fail before a sweep starts, not in a worker
-                    // thread mid-matrix.
-                    if let ScenarioSpec::TraceReplay {
-                        source: TraceSource::Path(p),
-                    } = ScenarioSpec::parse(&v, 2)?
-                    {
-                        std::fs::metadata(&p).map_err(|e| format!("cannot read {p}: {e}"))?;
-                    }
-                    out.scenario = v;
+                    out.scenario = it.next().ok_or("--scenario needs a value")?;
                 }
                 "--workload" => {
                     let v = it.next().ok_or("--workload needs a value")?;
@@ -254,14 +244,7 @@ impl CommonArgs {
         if out.seeds == 0 || out.node_counts.is_empty() {
             return Err("need at least one seed and one node count".into());
         }
-        let scenario = ScenarioSpec::parse(&out.scenario, 2)?;
-        if out.duration.is_some() && scenario.default_duration().is_none() {
-            return Err(
-                "--duration cannot be combined with trace replay: a replayed trace runs at \
-                 its recorded horizon"
-                    .into(),
-            );
-        }
+        let scenario = Self::parse_scenario(&out.scenario, 2, out.duration)?;
         // A scenario that fixes its node count (a replayed trace,
         // `paper:n=N`, `city:n=N`) gives a sweep one point; more would rerun
         // identical cells.
@@ -284,6 +267,29 @@ impl CommonArgs {
     /// and `city:n=N`; their sweeps have one point.
     pub fn scenario_for(&self, n: u32) -> ScenarioSpec {
         ScenarioSpec::parse(&self.scenario, n).expect("validated at parse time")
+    }
+
+    /// Parses a `--scenario` value for an `n`-node point and refuses what
+    /// cannot run, before anything is built: a trace file that cannot be
+    /// read, or a `--duration` override of trace replay. Every binary's
+    /// `--scenario` goes through this one check, so a typo fails at parse
+    /// time, not in a worker thread mid-matrix.
+    pub fn parse_scenario(v: &str, n: u32, duration: Option<f64>) -> Result<ScenarioSpec, String> {
+        let scenario = ScenarioSpec::parse(v, n)?;
+        if let ScenarioSpec::TraceReplay {
+            source: TraceSource::Path(p),
+        } = &scenario
+        {
+            std::fs::metadata(p).map_err(|e| format!("cannot read {p}: {e}"))?;
+        }
+        if duration.is_some() && scenario.default_duration().is_none() {
+            return Err(
+                "--duration cannot be combined with trace replay: a replayed trace runs at \
+                 its recorded horizon"
+                    .into(),
+            );
+        }
+        Ok(scenario)
     }
 
     /// Parses the value of a numeric flag. The error names the flag and the

@@ -1,8 +1,8 @@
 //! Command-line surfaces of the run binaries, driven through the real
 //! executables: usage errors name the flag and the value, removed flags
 //! fail as unknown, explicit flags win over defaults, a trace sweep runs
-//! each cell once, and `dtnrun`'s delivery-progress table follows the
-//! run's horizon.
+//! each cell once, a scenario that cannot run fails at parse time, and
+//! `dtnrun`'s delivery-progress table follows the run's horizon.
 
 use std::process::Command;
 
@@ -154,6 +154,38 @@ fn smoke_rejects_unknown_flags_by_name() {
         err.trim(),
         "n_nodes: invalid digit found in string, got many"
     );
+}
+
+/// A scenario that cannot run is a usage error before anything is built,
+/// in `dtnrun` and `smoke` as in the figures: an unreadable trace file, and
+/// a `--duration` override of trace replay.
+#[test]
+fn bad_scenarios_fail_at_parse_time() {
+    let trace = std::env::temp_dir().join(format!("bad_scenario_{}.trace", std::process::id()));
+    std::fs::write(&trace, "nodes 4 duration 100\n0 1 10 40\n").unwrap();
+    let replay = format!("trace:{}", trace.display());
+    let missing = "trace:/nonexistent/bad_scenario.trace";
+    let (dtnrun, smoke) = (env!("CARGO_BIN_EXE_dtnrun"), env!("CARGO_BIN_EXE_smoke"));
+    for bin in [dtnrun, smoke] {
+        let (code, _, err) = run(bin, &["--scenario", missing, "--no-store"]);
+        assert_eq!(code, 2, "{bin}: {err}");
+        assert!(
+            err.starts_with("cannot read /nonexistent/bad_scenario.trace: "),
+            "{bin}: {err}"
+        );
+        let (code, _, err) = run(
+            bin,
+            &["--scenario", &replay, "--duration", "100", "--no-store"],
+        );
+        assert_eq!(code, 2, "{bin}: {err}");
+        assert_eq!(
+            err.trim(),
+            "--duration cannot be combined with trace replay: a replayed trace runs at its \
+             recorded horizon",
+            "{bin}"
+        );
+    }
+    std::fs::remove_file(&trace).ok();
 }
 
 #[test]

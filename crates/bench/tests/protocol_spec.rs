@@ -90,6 +90,50 @@ fn paper_defaults_match_former_constants() {
 /// Two λ values of one protocol occupy distinct `ScenarioKey`s (cell keys),
 /// share the underlying scenario build, and produce bit-identical records
 /// under 1 vs 8 worker threads.
+/// Every parameter enters the cell key: for each family, a spec that
+/// differs from the paper spec in one key alone (each family key, `ttl`
+/// and `buffer`) has its own `cache_key`, distinct from the paper spec's
+/// and from every other variant's. The result store serves records by cell
+/// key, so a parameter missing from it would serve one variant's record for
+/// another.
+#[test]
+fn every_parameter_enters_the_cache_key() {
+    // Values tried in order; the first that parses and changes the spec is
+    // the variant.
+    const VALUES: [&str; 9] = [
+        "7", "3", "0.5", "0.75", "mean", "lrv", "2..12", "source", "binary",
+    ];
+    let mut keys = std::collections::HashMap::new();
+    for kind in ProtocolKind::ALL {
+        let paper = ProtocolSpec::paper(kind);
+        keys.insert(paper.cache_key(), paper.to_string());
+        for key in kind.param_keys().iter().chain(&["ttl", "buffer"]) {
+            let variant = VALUES
+                .iter()
+                .filter_map(|v| ProtocolSpec::parse(&format!("{}:{key}={v}", kind.key())).ok())
+                .find(|spec| *spec != paper)
+                .unwrap_or_else(|| panic!("no variant of {} in `{key}`", kind.key()));
+            let shown = variant.to_string();
+            if let Some(other) = keys.insert(variant.cache_key(), shown.clone()) {
+                panic!(
+                    "`{shown}` and `{other}` share the cell key {}",
+                    variant.cache_key()
+                );
+            }
+        }
+    }
+    let variants: usize = ProtocolKind::ALL
+        .iter()
+        .map(|kind| kind.param_keys().len() + 2)
+        .sum();
+    assert_eq!(keys.len(), ProtocolKind::ALL.len() + variants);
+    assert_eq!(
+        keys.len(),
+        59,
+        "10 paper specs and 49 one-parameter variants"
+    );
+}
+
 #[test]
 fn lambda_variants_key_distinctly_and_stay_thread_invariant() {
     let lo = RunSpec::new(

@@ -26,14 +26,13 @@
 //! are the positions in [`CommunityMap::members`] of the node's community.
 
 use crate::community::CommunityMap;
+use crate::decision::{DecisionBatches, HorizonCache};
 use crate::eer::{quantise_tau, replica_share};
 use crate::history::{ContactHistory, DEFAULT_WINDOW};
 use crate::memd::{emd_entries, solve_into};
 use crate::mi::MiMatrix;
 use crate::policy::BufferPolicy;
-use dtn_sim::{
-    ContactCtx, Message, NodeCtx, NodeId, Router, SimTime, TransferAction, TransferPlan,
-};
+use dtn_sim::{ContactCtx, Message, NodeCtx, NodeId, Router, SimTime, TransferPlan};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -84,13 +83,14 @@ pub struct Cr {
     /// Intra-community MI over the own community: row and column `k` are
     /// the community's `k`-th member ([`CommunityMap::position`]).
     intra_mi: MiMatrix,
-    queues: Vec<(NodeId, VecDeque<TransferPlan>)>,
+    /// Pending transfer decisions per active contact.
+    batches: DecisionBatches,
     /// Cached intra-community MEMD′ vector (indexed by member position),
     /// solved in place, and its computation time.
     memd_cache: Vec<f64>,
     memd_time: f64,
-    /// Cached ENECs: (τ bits, computed-at seconds, value).
-    enec_cache: Vec<(u64, f64, f64)>,
+    /// Cached ENECs per horizon (see `cfg.refresh`).
+    enec_cache: HorizonCache,
 }
 
 impl Cr {
@@ -123,10 +123,10 @@ impl Cr {
             history: ContactHistory::new(me, n, cfg.window),
             intra_mi: MiMatrix::new(community_size as u32),
             communities,
-            queues: Vec::new(),
+            batches: DecisionBatches::default(),
             memd_cache: Vec::new(),
             memd_time: f64::NEG_INFINITY,
-            enec_cache: Vec::new(),
+            enec_cache: HorizonCache::new(cfg.refresh),
         }
     }
 
@@ -217,30 +217,10 @@ impl Cr {
         }
     }
 
-    /// Theorem-4 ENEC with a (τ, time)-bucketed cache.
+    /// Theorem-4 ENEC, cached per horizon (see `cfg.refresh`).
     fn enec_cached(&mut self, now: SimTime, tau: f64) -> f64 {
-        let bits = tau.to_bits();
-        let t = now.as_secs();
-        if let Some(&(_, _, v)) = self
-            .enec_cache
-            .iter()
-            .find(|(b, at, _)| *b == bits && t - at <= self.cfg.refresh)
-        {
-            return v;
-        }
-        let v = self.communities.enec(&self.history, now, tau);
         self.enec_cache
-            .retain(|(_, at, _)| t - at <= self.cfg.refresh);
-        self.enec_cache.push((bits, t, v));
-        v
-    }
-
-    fn queue_mut(&mut self, peer: NodeId) -> &mut VecDeque<TransferPlan> {
-        if let Some(pos) = self.queues.iter().position(|(p, _)| *p == peer) {
-            return &mut self.queues[pos].1;
-        }
-        self.queues.push((peer, VecDeque::new()));
-        &mut self.queues.last_mut().unwrap().1
+            .get(now, tau, || self.communities.enec(&self.history, now, tau))
     }
 
     /// Builds the decision batch for the current contact.
@@ -377,11 +357,11 @@ impl Router for Cr {
         }
 
         let queue = self.build_queue(ctx, peer_router);
-        *self.queue_mut(ctx.peer) = queue;
+        self.batches.decide(ctx.peer, queue);
     }
 
     fn on_contact_down(&mut self, _ctx: &mut NodeCtx<'_>, peer: NodeId) {
-        self.queues.retain(|(p, _)| *p != peer);
+        self.batches.forget(peer);
     }
 
     fn select_drops(
@@ -394,35 +374,7 @@ impl Router for Cr {
     }
 
     fn pick_transfer(&mut self, ctx: &mut ContactCtx<'_>) -> Option<TransferPlan> {
-        let pos = self.queues.iter().position(|(p, _)| *p == ctx.peer)?;
-        let queue = &mut self.queues[pos].1;
-        while let Some(plan) = queue.pop_front() {
-            let Some(entry) = ctx.buf.get(plan.msg) else {
-                continue;
-            };
-            if ctx.sent.contains(&plan.msg) {
-                continue;
-            }
-            if entry.msg.dst != ctx.peer && ctx.peer_buf.contains(plan.msg) {
-                continue;
-            }
-            let plan = match plan.action {
-                TransferAction::Split { give } => {
-                    let give = give.min(entry.copies);
-                    if give == 0 {
-                        continue;
-                    }
-                    if give == entry.copies {
-                        TransferPlan::forward(plan.msg)
-                    } else {
-                        TransferPlan::split(plan.msg, give)
-                    }
-                }
-                _ => plan,
-            };
-            return Some(plan);
-        }
-        None
+        self.batches.next(ctx)
     }
 }
 

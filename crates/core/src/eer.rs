@@ -29,13 +29,12 @@
 //!   collapses many evaluations). `crates/core/tests/estimator_consistency.rs`
 //!   checks that both approximations leave the protocol's semantics intact.
 
+use crate::decision::{DecisionBatches, HorizonCache};
 use crate::history::{ContactHistory, DEFAULT_WINDOW};
 use crate::memd::{emd_entries, mean_entries, solve_into};
 use crate::mi::MiMatrix;
 use crate::policy::BufferPolicy;
-use dtn_sim::{
-    ContactCtx, Message, MessageId, NodeCtx, NodeId, Router, SimTime, TransferAction, TransferPlan,
-};
+use dtn_sim::{ContactCtx, Message, MessageId, NodeCtx, NodeId, Router, SimTime, TransferPlan};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -108,13 +107,13 @@ pub struct Eer {
     history: ContactHistory,
     mi: MiMatrix,
     /// Pending transfer decisions per active contact.
-    queues: Vec<(NodeId, VecDeque<TransferPlan>)>,
+    batches: DecisionBatches,
     /// Cached MEMD vector, solved in place, and the time it was computed
     /// (`-∞` = never).
     memd_cache: Vec<f64>,
     memd_time: f64,
-    /// Cached EEVs: (τ bits, computed-at seconds, value).
-    eev_cache: Vec<(u64, f64, f64)>,
+    /// Cached EEVs per horizon (see `cfg.refresh`).
+    eev_cache: HorizonCache,
 }
 
 impl Eer {
@@ -143,10 +142,10 @@ impl Eer {
             cfg,
             history: ContactHistory::new(me, n, cfg.window),
             mi: MiMatrix::new(n),
-            queues: Vec::new(),
+            batches: DecisionBatches::default(),
             memd_cache: Vec::new(),
             memd_time: f64::NEG_INFINITY,
-            eev_cache: Vec::new(),
+            eev_cache: HorizonCache::new(cfg.refresh),
         }
     }
 
@@ -200,30 +199,9 @@ impl Eer {
         }
     }
 
-    /// Theorem-1 EEV with a (τ, time)-bucketed cache (see `cfg.refresh`).
+    /// Theorem-1 EEV, cached per horizon (see `cfg.refresh`).
     fn eev_cached(&mut self, now: SimTime, tau: f64) -> f64 {
-        let bits = tau.to_bits();
-        let t = now.as_secs();
-        if let Some(&(_, _, v)) = self
-            .eev_cache
-            .iter()
-            .find(|(b, at, _)| *b == bits && t - at <= self.cfg.refresh)
-        {
-            return v;
-        }
-        let v = self.history.eev(now, tau);
-        self.eev_cache
-            .retain(|(_, at, _)| t - at <= self.cfg.refresh);
-        self.eev_cache.push((bits, t, v));
-        v
-    }
-
-    fn queue_mut(&mut self, peer: NodeId) -> &mut VecDeque<TransferPlan> {
-        if let Some(pos) = self.queues.iter().position(|(p, _)| *p == peer) {
-            return &mut self.queues[pos].1;
-        }
-        self.queues.push((peer, VecDeque::new()));
-        &mut self.queues.last_mut().unwrap().1
+        self.eev_cache.get(now, tau, || self.history.eev(now, tau))
     }
 }
 
@@ -325,11 +303,11 @@ impl Router for Eer {
                 }
             }
         }
-        *self.queue_mut(ctx.peer) = queue;
+        self.batches.decide(ctx.peer, queue);
     }
 
     fn on_contact_down(&mut self, _ctx: &mut NodeCtx<'_>, peer: NodeId) {
-        self.queues.retain(|(p, _)| *p != peer);
+        self.batches.forget(peer);
     }
 
     fn select_drops(
@@ -342,36 +320,7 @@ impl Router for Eer {
     }
 
     fn pick_transfer(&mut self, ctx: &mut ContactCtx<'_>) -> Option<TransferPlan> {
-        let pos = self.queues.iter().position(|(p, _)| *p == ctx.peer)?;
-        let queue = &mut self.queues[pos].1;
-        while let Some(plan) = queue.pop_front() {
-            let Some(entry) = ctx.buf.get(plan.msg) else {
-                continue; // dropped (TTL/eviction) since the decision
-            };
-            if ctx.sent.contains(&plan.msg) {
-                continue;
-            }
-            if entry.msg.dst != ctx.peer && ctx.peer_buf.contains(plan.msg) {
-                continue; // peer acquired it from a third party meanwhile
-            }
-            let plan = match plan.action {
-                TransferAction::Split { give } => {
-                    // Copies may have shrunk due to a concurrent contact.
-                    let give = give.min(entry.copies);
-                    if give == 0 {
-                        continue;
-                    }
-                    if give == entry.copies {
-                        TransferPlan::forward(plan.msg)
-                    } else {
-                        TransferPlan::split(plan.msg, give)
-                    }
-                }
-                _ => plan,
-            };
-            return Some(plan);
-        }
-        None
+        self.batches.next(ctx)
     }
 }
 

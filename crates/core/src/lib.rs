@@ -36,6 +36,7 @@
 
 pub mod community;
 pub mod cr;
+mod decision;
 pub mod detect;
 pub mod eer;
 pub mod history;
@@ -50,6 +51,5 @@ pub use detect::{
 };
 pub use eer::{Eer, EerConfig, EmdMode};
 pub use history::{ContactHistory, PairHistory, DEFAULT_WINDOW};
-pub use memd::MemdSolver;
 pub use mi::MiMatrix;
 pub use policy::BufferPolicy;

@@ -32,6 +32,9 @@
 //! The Dijkstra scratch (heap positions, keys and nodes) is kept once per
 //! thread and reused by every solve on it, so a router holds only its
 //! distance vector, and the solve writes straight into that vector.
+//!
+//! [`solve_into`] is the one entry point; [`emd_entries`] and
+//! [`mean_entries`] give it the source's own row.
 
 use crate::history::ContactHistory;
 use crate::mi::MiMatrix;
@@ -68,11 +71,13 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// MEMD from `src` over `mi`, with `src`'s row replaced by `own_row`
-/// (ascending by peer; non-finite weights are ignored), solved into `dist`
-/// on this thread's scratch. `restrict` limits the graph to a subset of
-/// nodes plus `src`.
-pub(crate) fn solve_into(
+/// MEMD from `src` to every node, solved into `dist` on this thread's
+/// scratch (unreachable = ∞): shortest paths over `mi` with `src`'s row
+/// replaced by `own_row`, given as `(j, weight)` entries ascending by peer
+/// ([`emd_entries`], [`mean_entries`] or any custom override; non-finite
+/// weights are ignored). `restrict` limits the graph to a subset of nodes
+/// plus `src` (the intra-community MEMD′ of §IV); `None` means all nodes.
+pub fn solve_into(
     dist: &mut Vec<f64>,
     src: NodeId,
     mi: &MiMatrix,
@@ -209,8 +214,16 @@ impl Scratch {
     }
 }
 
-/// The entries of [`MemdSolver::build_emd_row`].
-pub(crate) fn emd_entries(
+/// The source's own `MD` row: `EMD(t)` towards every met peer, as finite
+/// entries `(j, EMD_j)` ascending by peer. The paper-unspecified corner
+/// cases are resolved as:
+///
+/// * never met / no intervals → unknown (no entry);
+/// * "overdue" (elapsed exceeds all recorded intervals, conditional set
+///   empty) → unknown (no entry): the estimator has no admissible evidence
+///   left, and treating overdue links as attractive was measured to cause
+///   single-copy thrashing (see the `ablation emd` grid).
+pub fn emd_entries(
     history: &ContactHistory,
     now: SimTime,
 ) -> impl Iterator<Item = (u32, f64)> + '_ {
@@ -221,101 +234,12 @@ pub(crate) fn emd_entries(
         .filter_map(move |(j, pair)| Some((j.0, pair.expected_meeting_delay(now)?.max(0.0))))
 }
 
-/// The entries of [`MemdSolver::build_mean_row`].
-pub(crate) fn mean_entries(history: &ContactHistory) -> impl Iterator<Item = (u32, f64)> + '_ {
+/// An own row of plain mean intervals (no Theorem-2 elapsed-time
+/// correction), ascending by peer — the Jones et al. MEED-style baseline the
+/// `ablation emd` grid uses to quantify what the correction buys.
+pub fn mean_entries(history: &ContactHistory) -> impl Iterator<Item = (u32, f64)> + '_ {
     let me = history.me().0;
     history.mean_row().filter(move |&(j, _)| j != me)
-}
-
-/// A MEMD solver with its own distance vector and own row, for callers that
-/// read them back; the Dijkstra scratch is this thread's.
-#[derive(Clone, Debug, Default)]
-pub struct MemdSolver {
-    dist: Vec<f64>,
-    /// The source node's own `MD` row, as finite entries `(j, w)` ascending
-    /// by peer.
-    own_row: Vec<(u32, f64)>,
-}
-
-impl MemdSolver {
-    /// Creates a solver (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds the source's `MD` row: `EMD(t)` towards every met peer, as
-    /// finite entries `(j, EMD_j)` ascending by peer. The paper-unspecified
-    /// corner cases are resolved as:
-    ///
-    /// * never met / no intervals → unknown (no entry);
-    /// * "overdue" (elapsed exceeds all recorded intervals, conditional set
-    ///   empty) → unknown (no entry): the estimator has no admissible
-    ///   evidence left, and treating overdue links as attractive was measured
-    ///   to cause single-copy thrashing (see the `ablation emd` grid).
-    pub fn build_emd_row(&mut self, history: &ContactHistory, now: SimTime) -> &[(u32, f64)] {
-        self.own_row.clear();
-        self.own_row.extend(emd_entries(history, now));
-        &self.own_row
-    }
-
-    /// Builds an own-row of plain mean intervals (no Theorem-2 elapsed-time
-    /// correction) — the Jones et al. MEED-style baseline the `ablation emd`
-    /// grid uses to quantify what the correction buys.
-    pub fn build_mean_row(&mut self, history: &ContactHistory) -> &[(u32, f64)] {
-        self.own_row.clear();
-        self.own_row.extend(mean_entries(history));
-        &self.own_row
-    }
-
-    /// MEMD from `src` to all nodes, over `mi` with `src`'s row overridden by
-    /// `own_row`, given as `(j, weight)` entries (use
-    /// [`MemdSolver::build_emd_row`] first, or pass any custom override;
-    /// non-finite weights are ignored). Returns the distance vector;
-    /// unreachable = ∞.
-    ///
-    /// Optionally `restrict` limits the graph to a subset of nodes (the
-    /// intra-community MEMD′ of §IV); `None` means all nodes.
-    pub fn memd_from(
-        &mut self,
-        src: NodeId,
-        mi: &MiMatrix,
-        own_row: &[(u32, f64)],
-        restrict: Option<&[NodeId]>,
-    ) -> &[f64] {
-        solve_into(&mut self.dist, src, mi, own_row.iter().copied(), restrict);
-        &self.dist
-    }
-
-    /// Convenience: full MEMD vector for `history.me()` at `now`.
-    pub fn memd_all(
-        &mut self,
-        history: &ContactHistory,
-        mi: &MiMatrix,
-        now: SimTime,
-        restrict: Option<&[NodeId]>,
-    ) -> &[f64] {
-        let own_row = emd_entries(history, now);
-        solve_into(&mut self.dist, history.me(), mi, own_row, restrict);
-        &self.dist
-    }
-
-    /// As [`MemdSolver::memd_all`] but with the mean-interval own-row (no
-    /// Theorem-2 correction).
-    pub fn memd_all_mean(
-        &mut self,
-        history: &ContactHistory,
-        mi: &MiMatrix,
-        restrict: Option<&[NodeId]>,
-    ) -> &[f64] {
-        let own_row = mean_entries(history);
-        solve_into(&mut self.dist, history.me(), mi, own_row, restrict);
-        &self.dist
-    }
-
-    /// The last computed distance vector.
-    pub fn distances(&self) -> &[f64] {
-        &self.dist
-    }
 }
 
 #[cfg(test)]
@@ -340,6 +264,18 @@ mod tests {
             .collect()
     }
 
+    /// MEMD from `src` into a fresh vector.
+    fn memd(
+        src: NodeId,
+        mi: &MiMatrix,
+        own_row: Vec<(u32, f64)>,
+        restrict: Option<&[NodeId]>,
+    ) -> Vec<f64> {
+        let mut dist = Vec::new();
+        solve_into(&mut dist, src, mi, own_row, restrict);
+        dist
+    }
+
     /// Node `me`'s sparse row as a dense one: `INFINITY` = unknown, and the
     /// diagonal 0 (as `MiMatrix::get` reads it).
     fn dense(row: &[(u32, f64)], me: usize, n: usize) -> Vec<f64> {
@@ -355,9 +291,8 @@ mod tests {
     fn memd_is_shortest_path_over_md() {
         // 0 -10- 1 -10- 2, and a slow direct edge 0 -50- 2.
         let mi = mi_from(3, &[(0, 1, 10.0), (1, 2, 10.0), (0, 2, 50.0)]);
-        let mut s = MemdSolver::new();
         let emd_row = sparse(&[0.0, 10.0, 50.0]); // same as MI row here
-        let d = s.memd_from(NodeId(0), &mi, &emd_row, None);
+        let d = memd(NodeId(0), &mi, emd_row, None);
         assert_eq!(d[0], 0.0);
         assert_eq!(d[1], 10.0);
         assert_eq!(d[2], 20.0, "two-hop path beats direct");
@@ -366,20 +301,18 @@ mod tests {
     #[test]
     fn emd_row_override_changes_first_hop() {
         let mi = mi_from(3, &[(0, 1, 10.0), (1, 2, 10.0), (0, 2, 50.0)]);
-        let mut s = MemdSolver::new();
         // Node 0 just met 1 recently: its *current* expected delay to 1 is
         // only 2 (Theorem 2), so MEMD(0→2) drops to 12.
         let emd_row = sparse(&[0.0, 2.0, 50.0]);
-        let d = s.memd_from(NodeId(0), &mi, &emd_row, None);
+        let d = memd(NodeId(0), &mi, emd_row, None);
         assert_eq!(d[2], 12.0);
     }
 
     #[test]
     fn unreachable_stays_infinite() {
         let mi = mi_from(4, &[(0, 1, 5.0)]);
-        let mut s = MemdSolver::new();
         let emd_row = sparse(&[0.0, 5.0, f64::INFINITY, f64::INFINITY]);
-        let d = s.memd_from(NodeId(0), &mi, &emd_row, None);
+        let d = memd(NodeId(0), &mi, emd_row, None);
         assert!(d[2].is_infinite());
         assert!(d[3].is_infinite());
     }
@@ -388,9 +321,8 @@ mod tests {
     fn restriction_blocks_outside_relays() {
         // Path 0-1-2 exists, but 1 is outside the allowed subset.
         let mi = mi_from(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)]);
-        let mut s = MemdSolver::new();
         let emd_row = sparse(&[0.0, 1.0, 10.0]);
-        let d = s.memd_from(NodeId(0), &mi, &emd_row, Some(&[NodeId(0), NodeId(2)]));
+        let d = memd(NodeId(0), &mi, emd_row, Some(&[NodeId(0), NodeId(2)]));
         assert_eq!(d[2], 10.0, "must use the direct intra-subset edge");
     }
 
@@ -402,14 +334,14 @@ mod tests {
         for t in [0.0, 100.0, 200.0] {
             h.record_meeting(NodeId(1), SimTime::secs(t));
         }
-        let mut s = MemdSolver::new();
+        let emd_row = |t| emd_entries(&h, SimTime::secs(t)).collect::<Vec<_>>();
         // At t=250 (elapsed 50): EMD = 100 - 50 = 50.
-        let row = dense(s.build_emd_row(&h, SimTime::secs(250.0)), 0, 3);
+        let row = dense(&emd_row(250.0), 0, 3);
         assert!((row[1] - 50.0).abs() < 1e-12);
         assert!(row[2].is_infinite(), "never met → unknown");
         assert_eq!(row[0], 0.0);
         // Overdue (elapsed 150 > all intervals): no admissible evidence.
-        let row = dense(s.build_emd_row(&h, SimTime::secs(350.0)), 0, 3);
+        let row = dense(&emd_row(350.0), 0, 3);
         assert!(row[1].is_infinite());
     }
 
@@ -504,8 +436,14 @@ mod tests {
         // MI knows 1-2 meet every 30 on average.
         let mut mi = MiMatrix::new(3);
         mi.set_entry(NodeId(1), NodeId(2), 30.0, 5.0);
-        let mut s = MemdSolver::new();
-        let d = s.memd_all(&h, &mi, SimTime::secs(250.0), None);
+        let mut d = Vec::new();
+        solve_into(
+            &mut d,
+            h.me(),
+            &mi,
+            emd_entries(&h, SimTime::secs(250.0)),
+            None,
+        );
         assert!((d[1] - 50.0).abs() < 1e-12);
         assert!((d[2] - 80.0).abs() < 1e-12, "50 to reach 1 + 30 onwards");
     }

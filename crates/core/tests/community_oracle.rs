@@ -9,7 +9,8 @@
 //! rows it adopted, every node's MEMD′ vector and every stamp and row must
 //! match the oracle's restricted to the community, bit for bit.
 
-use ce_core::{CommunityMap, ContactHistory, Cr, CrConfig, MemdSolver, MiMatrix};
+use ce_core::memd::{emd_entries, solve_into};
+use ce_core::{CommunityMap, ContactHistory, Cr, CrConfig, MiMatrix};
 use dtn_sim::{Buffer, ContactCtx, NodeId, Router, SentSet, SimStats, SimTime};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -111,7 +112,7 @@ proptest! {
                 mi: MiMatrix::new(n as u32),
             })
             .collect();
-        let mut solver = MemdSolver::new();
+        let mut full = Vec::new();
         let mut t = 0.0;
         for (a, offset, kind, gap) in steps {
             // Kind 0 meets again at the same instant, kind 1 after a round gap.
@@ -134,7 +135,8 @@ proptest! {
                 let now = SimTime::secs(t + later);
                 for (i, (router, node)) in routers.iter().zip(&global).enumerate() {
                     let members = map.members(map.cid(NodeId(i as u32)));
-                    let full = solver.memd_all(&node.history, &node.mi, now, Some(members));
+                    let own_row = emd_entries(&node.history, now);
+                    solve_into(&mut full, node.history.me(), &node.mi, own_row, Some(members));
                     let want: Vec<f64> = members.iter().map(|m| full[m.idx()]).collect();
                     assert_bits(&router.intra_memd(now), &want, "MEMD′");
                     let table = router.intra_mi();

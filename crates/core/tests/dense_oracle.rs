@@ -6,7 +6,8 @@
 //! Every comparison is bitwise (`f64::to_bits`): the sparse structures must
 //! return exactly what the dense ones return, not something close.
 
-use ce_core::{CommunityMap, ContactHistory, MemdSolver, MiMatrix, PairHistory};
+use ce_core::memd::{emd_entries, mean_entries, solve_into};
+use ce_core::{CommunityMap, ContactHistory, MiMatrix, PairHistory};
 use dtn_sim::{NodeId, SimTime};
 use proptest::prelude::*;
 
@@ -472,10 +473,8 @@ proptest! {
         let restrict: Option<Vec<NodeId>> = mask.map(|m| {
             (0..n as u32).filter(|&v| m[v as usize]).map(NodeId).collect()
         });
-        let mut solver = MemdSolver::new();
-        let got = solver
-            .memd_from(NodeId(src as u32), &sparse, &own_sparse, restrict.as_deref())
-            .to_vec();
+        let mut got = Vec::new();
+        solve_into(&mut got, NodeId(src as u32), &sparse, own_sparse, restrict.as_deref());
         let want = dense::memd_from(src, &oracle, &own_dense, restrict.as_deref());
         assert_bits(&got, &want, "memd");
     }
@@ -513,10 +512,8 @@ proptest! {
         let restrict: Option<Vec<NodeId>> = mask.map(|(keep, m)| {
             (0..n as u32).filter(|&v| m[v as usize] < keep).map(NodeId).collect()
         });
-        let mut solver = MemdSolver::new();
-        let got = solver
-            .memd_from(NodeId(src as u32), &sparse, &own_sparse, restrict.as_deref())
-            .to_vec();
+        let mut got = Vec::new();
+        solve_into(&mut got, NodeId(src as u32), &sparse, own_sparse, restrict.as_deref());
         let want = dense::memd_from(src, &oracle, &own_dense, restrict.as_deref());
         assert_bits(&got, &want, "memd");
     }
@@ -589,8 +586,7 @@ proptest! {
             prop_assert_eq!(s.intervals(), d.intervals());
         }
         let map = CommunityMap::new(cids.clone());
-        let mut solver = MemdSolver::new();
-        let mean = densify(solver.build_mean_row(&sparse), me, n);
+        let mean = densify(&mean_entries(&sparse).collect::<Vec<_>>(), me, n);
         assert_bits(&mean, &oracle.build_mean_row(), "mean row");
         assert_bits(&densify(&sparse.mean_row().collect::<Vec<_>>(), me, n), &oracle.build_mean_row(), "MI row");
         for e in elapsed {
@@ -610,7 +606,7 @@ proptest! {
                     "community probability"
                 );
             }
-            let emd = densify(solver.build_emd_row(&sparse, now), me, n);
+            let emd = densify(&emd_entries(&sparse, now).collect::<Vec<_>>(), me, n);
             assert_bits(&emd, &oracle.build_emd_row(now), "emd row");
         }
     }
@@ -636,11 +632,11 @@ proptest! {
         let members = map.members(map.cid(NodeId(me as u32))).to_vec();
         let restrict = restricted.then_some(members.as_slice());
         let now = SimTime::secs(last + elapsed);
-        let mut solver = MemdSolver::new();
-        let got = solver.memd_all(&sparse_h, &sparse, now, restrict).to_vec();
+        let mut got = Vec::new();
+        solve_into(&mut got, sparse_h.me(), &sparse, emd_entries(&sparse_h, now), restrict);
         let want = dense::memd_from(me, &oracle, &oracle_h.build_emd_row(now), restrict);
         assert_bits(&got, &want, "memd_all");
-        let got = solver.memd_all_mean(&sparse_h, &sparse, restrict).to_vec();
+        solve_into(&mut got, sparse_h.me(), &sparse, mean_entries(&sparse_h), restrict);
         let want = dense::memd_from(me, &oracle, &oracle_h.build_mean_row(), restrict);
         assert_bits(&got, &want, "memd_all_mean");
     }

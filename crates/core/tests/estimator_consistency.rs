@@ -3,7 +3,8 @@
 //! quantisation described in the "Implementation notes" of
 //! `crates/core/src/eer.rs` must degrade gracefully, not change semantics.
 
-use ce_core::{Eer, EerConfig, MemdSolver, MiMatrix};
+use ce_core::memd::{emd_entries, solve_into};
+use ce_core::{Eer, EerConfig, MiMatrix};
 use dtn_mobility::scenario::ScenarioConfig;
 use dtn_sim::{NodeId, SimConfig, SimTime, Simulation, TrafficConfig};
 use std::any::Any;
@@ -106,9 +107,10 @@ fn memd_consistent_after_gossip_chain() {
     assert!((i01 - 100.0).abs() < 5.0, "I(0,1) ≈ 100, got {i01}");
     assert!((i12 - 60.0).abs() < 5.0, "I(1,2) ≈ 60, got {i12}");
     // MEMD(0→2) computed now must be ≤ EMD(0→1) + I(1,2) and > 0.
-    let mut solver = MemdSolver::new();
     let now = SimTime::secs(750.0);
-    let d = solver.memd_all(r0.history(), r0.mi(), now, None).to_vec();
+    let mut d = Vec::new();
+    let own_row = emd_entries(r0.history(), now);
+    solve_into(&mut d, r0.history().me(), r0.mi(), own_row, None);
     let emd01 = r0
         .history()
         .pair(NodeId(1))
@@ -125,9 +127,9 @@ fn memd_consistent_after_gossip_chain() {
 #[test]
 fn memd_on_empty_matrix_is_unreachable() {
     let mi = MiMatrix::new(5);
-    let mut solver = MemdSolver::new();
     let row: Vec<(u32, f64)> = (0..5).map(|j| (j, mi.get(NodeId(0), NodeId(j)))).collect();
-    let d = solver.memd_from(NodeId(0), &mi, &row, None);
+    let mut d = Vec::new();
+    solve_into(&mut d, NodeId(0), &mi, row, None);
     assert_eq!(d[0], 0.0);
     for dv in &d[1..5] {
         assert!(dv.is_infinite());

@@ -27,6 +27,18 @@
 //! because probe sampling is read-only, attaching observers can never change
 //! a run's statistics.
 //!
+//! ## Router calls
+//!
+//! Routers propose transfers and request purges; the engine applies them
+//! (see [`crate::router`]). Every router callback that takes a context goes
+//! through one of two helpers, `node_hook` for a [`NodeCtx`] and
+//! `contact_hook` for a [`ContactCtx`]: each builds the context, runs the
+//! hook, applies the purges it requested and restores the reused purge
+//! scratch. A message leaves a buffer outside a transfer through one
+//! function, `drop_message` (remove, emit [`SimEvent::Dropped`], call
+//! `on_dropped` through `node_hook`), which TTL sweeps, purges and
+//! evictions share.
+//!
 //! ## Hot-path layout
 //!
 //! Link state lives in a slab of `LinkSlot`s recycled across contacts, not
@@ -354,20 +366,8 @@ impl Simulation {
 
     /// Invokes `on_start` on every router.
     fn start(&mut self) {
-        for i in 0..self.n_nodes as usize {
-            let mut purge = std::mem::take(&mut self.purge_scratch);
-            {
-                let mut ctx = NodeCtx {
-                    now: self.now,
-                    me: NodeId(i as u32),
-                    buf: &self.buffers[i],
-                    stats: &mut self.stats,
-                    purge: &mut purge,
-                };
-                self.routers[i].on_start(&mut ctx);
-            }
-            self.apply_purges(NodeId(i as u32), &mut purge);
-            self.purge_scratch = purge;
+        for i in 0..self.n_nodes {
+            self.node_hook(NodeId(i), |r, ctx| r.on_start(ctx));
         }
     }
 
@@ -566,23 +566,9 @@ impl Simulation {
 
         // Control-plane handshake, both directions.
         for (me, peer) in [(pair.a, pair.b), (pair.b, pair.a)] {
-            let mut purge = std::mem::take(&mut self.purge_scratch);
-            {
-                let (me_r, peer_r) = pair_mut(&mut self.routers, me.idx(), peer.idx());
-                let mut ctx = ContactCtx {
-                    now: self.now,
-                    me,
-                    peer,
-                    buf: &self.buffers[me.idx()],
-                    peer_buf: &self.buffers[peer.idx()],
-                    stats: &mut self.stats,
-                    sent: SentSet::empty(),
-                    purge: &mut purge,
-                };
-                me_r.on_contact_up(&mut ctx, peer_r.as_mut());
-            }
-            self.apply_purges(me, &mut purge);
-            self.purge_scratch = purge;
+            self.contact_hook(me, peer, None, |r, peer_r, ctx| {
+                r.on_contact_up(ctx, peer_r)
+            });
         }
 
         self.try_fill(slot, pair.a);
@@ -617,19 +603,7 @@ impl Simulation {
         self.active[pair.b.idx()].retain(|(p, _)| *p != pair);
         self.emit(SimEvent::ContactEnd { at: self.now, pair });
         for (me, peer) in [(pair.a, pair.b), (pair.b, pair.a)] {
-            let mut purge = std::mem::take(&mut self.purge_scratch);
-            {
-                let mut ctx = NodeCtx {
-                    now: self.now,
-                    me,
-                    buf: &self.buffers[me.idx()],
-                    stats: &mut self.stats,
-                    purge: &mut purge,
-                };
-                self.routers[me.idx()].on_contact_down(&mut ctx, peer);
-            }
-            self.apply_purges(me, &mut purge);
-            self.purge_scratch = purge;
+            self.node_hook(me, |r, ctx| r.on_contact_down(ctx, peer));
         }
     }
 
@@ -659,19 +633,7 @@ impl Simulation {
             hops: 0,
         };
         self.buffers[src].insert(entry).expect("room was just made");
-        let mut purge = std::mem::take(&mut self.purge_scratch);
-        {
-            let mut ctx = NodeCtx {
-                now: self.now,
-                me: msg.src,
-                buf: &self.buffers[src],
-                stats: &mut self.stats,
-                purge: &mut purge,
-            };
-            self.routers[src].on_message_created(&mut ctx, msg.id);
-        }
-        self.apply_purges(msg.src, &mut purge);
-        self.purge_scratch = purge;
+        self.node_hook(msg.src, |r, ctx| r.on_message_created(ctx, msg.id));
         self.kick_node(msg.src);
     }
 
@@ -718,20 +680,8 @@ impl Simulation {
                 first,
             });
             self.apply_sender_action(from, msg_id, action);
-            self.notify_sent(from, &msg, action, to, true);
-            let mut purge = std::mem::take(&mut self.purge_scratch);
-            {
-                let mut ctx = NodeCtx {
-                    now: self.now,
-                    me: to,
-                    buf: &self.buffers[to.idx()],
-                    stats: &mut self.stats,
-                    purge: &mut purge,
-                };
-                self.routers[to.idx()].on_delivery_received(&mut ctx, &msg, from, first);
-            }
-            self.apply_purges(to, &mut purge);
-            self.purge_scratch = purge;
+            self.node_hook(from, |r, ctx| r.on_sent(ctx, &msg, action, to, true));
+            self.node_hook(to, |r, ctx| r.on_delivery_received(ctx, &msg, from, first));
         } else if self.buffers[to.idx()].contains(msg_id) {
             // The receiver obtained the message from a third party while this
             // transfer was in flight; treat as a wasted relay.
@@ -777,20 +727,8 @@ impl Simulation {
                 .insert(new_entry)
                 .expect("room was just made");
             self.apply_sender_action(from, msg_id, action);
-            self.notify_sent(from, &msg, action, to, false);
-            let mut purge = std::mem::take(&mut self.purge_scratch);
-            {
-                let mut ctx = NodeCtx {
-                    now: self.now,
-                    me: to,
-                    buf: &self.buffers[to.idx()],
-                    stats: &mut self.stats,
-                    purge: &mut purge,
-                };
-                self.routers[to.idx()].on_received(&mut ctx, &new_entry, from);
-            }
-            self.apply_purges(to, &mut purge);
-            self.purge_scratch = purge;
+            self.node_hook(from, |r, ctx| r.on_sent(ctx, &msg, action, to, false));
+            self.node_hook(to, |r, ctx| r.on_received(ctx, &new_entry, from));
             self.kick_node(to);
         }
 
@@ -799,20 +737,12 @@ impl Simulation {
 
     fn handle_ttl_sweep(&mut self) {
         let mut expired = std::mem::take(&mut self.expired_scratch);
-        for i in 0..self.n_nodes as usize {
-            let node = NodeId(i as u32);
+        for i in 0..self.n_nodes {
+            let node = NodeId(i);
             expired.clear();
-            expired.extend(self.buffers[i].expired(self.now));
+            expired.extend(self.buffers[node.idx()].expired(self.now));
             for &id in &expired {
-                if let Some(entry) = self.buffers[i].remove(id) {
-                    self.emit(SimEvent::Dropped {
-                        at: self.now,
-                        msg: id,
-                        node,
-                        reason: DropReason::Expired,
-                    });
-                    self.notify_dropped(node, &entry.msg, DropReason::Expired);
-                }
+                self.drop_message(node, id, DropReason::Expired);
             }
         }
         self.expired_scratch = expired;
@@ -823,21 +753,8 @@ impl Simulation {
     }
 
     fn handle_tick(&mut self, node: NodeId) {
-        let i = node.idx();
-        let mut purge = std::mem::take(&mut self.purge_scratch);
-        {
-            let mut ctx = NodeCtx {
-                now: self.now,
-                me: node,
-                buf: &self.buffers[i],
-                stats: &mut self.stats,
-                purge: &mut purge,
-            };
-            self.routers[i].on_tick(&mut ctx);
-        }
-        self.apply_purges(node, &mut purge);
-        self.purge_scratch = purge;
-        if let Some(dt) = self.routers[i].tick_interval() {
+        self.node_hook(node, |r, ctx| r.on_tick(ctx));
+        if let Some(dt) = self.routers[node.idx()].tick_interval() {
             let next = self.now + dt;
             if next.as_secs() < self.duration {
                 self.events.push(next, EventKind::RouterTick { node });
@@ -867,57 +784,87 @@ impl Simulation {
         }
     }
 
-    fn notify_sent(
+    /// Runs a [`NodeCtx`] hook of `node`'s router, then applies the purges it
+    /// requested. Every node-context callback goes through here.
+    #[inline]
+    fn node_hook<R>(
         &mut self,
-        from: NodeId,
-        msg: &Message,
-        action: TransferAction,
-        to: NodeId,
-        delivered: bool,
-    ) {
+        node: NodeId,
+        hook: impl FnOnce(&mut dyn Router, &mut NodeCtx<'_>) -> R,
+    ) -> R {
         let mut purge = std::mem::take(&mut self.purge_scratch);
-        {
-            let mut ctx = NodeCtx {
-                now: self.now,
-                me: from,
-                buf: &self.buffers[from.idx()],
-                stats: &mut self.stats,
-                purge: &mut purge,
-            };
-            self.routers[from.idx()].on_sent(&mut ctx, msg, action, to, delivered);
-        }
-        self.apply_purges(from, &mut purge);
-        self.purge_scratch = purge;
-    }
-
-    fn notify_dropped(&mut self, node: NodeId, msg: &Message, reason: DropReason) {
-        let mut purge = std::mem::take(&mut self.purge_scratch);
-        {
-            let mut ctx = NodeCtx {
+        let out = hook(
+            self.routers[node.idx()].as_mut(),
+            &mut NodeCtx {
                 now: self.now,
                 me: node,
                 buf: &self.buffers[node.idx()],
                 stats: &mut self.stats,
                 purge: &mut purge,
-            };
-            self.routers[node.idx()].on_dropped(&mut ctx, msg, reason);
-        }
+            },
+        );
         self.apply_purges(node, &mut purge);
         self.purge_scratch = purge;
+        out
     }
 
-    /// Applies router purge requests against `node`'s buffer.
+    /// Runs a [`ContactCtx`] hook of `me`'s router towards `peer`, then
+    /// applies the purges it requested. The hook also gets `peer`'s router,
+    /// for the contact-up handshake; `link` is the slot and direction whose
+    /// transfer log the context reads (`None`: nothing sent yet). Every
+    /// contact-context callback goes through here.
+    #[inline]
+    fn contact_hook<R>(
+        &mut self,
+        me: NodeId,
+        peer: NodeId,
+        link: Option<(u32, usize)>,
+        hook: impl FnOnce(&mut dyn Router, &mut dyn Router, &mut ContactCtx<'_>) -> R,
+    ) -> R {
+        let mut purge = std::mem::take(&mut self.purge_scratch);
+        let sent = link.map_or(SentSet::empty(), |(slot, di)| {
+            let link = &self.links[slot as usize];
+            SentSet::new(&link.sent[di], link.epoch)
+        });
+        let (me_r, peer_r) = pair_mut(&mut self.routers, me.idx(), peer.idx());
+        let out = hook(
+            me_r.as_mut(),
+            peer_r.as_mut(),
+            &mut ContactCtx {
+                now: self.now,
+                me,
+                peer,
+                buf: &self.buffers[me.idx()],
+                peer_buf: &self.buffers[peer.idx()],
+                stats: &mut self.stats,
+                sent,
+                purge: &mut purge,
+            },
+        );
+        self.apply_purges(me, &mut purge);
+        self.purge_scratch = purge;
+        out
+    }
+
+    /// Removes `id` from `node`'s buffer, if there, reports the drop and
+    /// tells the router: the one drop path of TTL sweeps, purges and
+    /// evictions.
+    fn drop_message(&mut self, node: NodeId, id: MessageId, reason: DropReason) {
+        if let Some(entry) = self.buffers[node.idx()].remove(id) {
+            self.emit(SimEvent::Dropped {
+                at: self.now,
+                msg: id,
+                node,
+                reason,
+            });
+            self.node_hook(node, |r, ctx| r.on_dropped(ctx, &entry.msg, reason));
+        }
+    }
+
+    /// Applies router purge requests against `node`'s buffer, last first.
     fn apply_purges(&mut self, node: NodeId, purge: &mut Vec<MessageId>) {
         while let Some(id) = purge.pop() {
-            if let Some(entry) = self.buffers[node.idx()].remove(id) {
-                self.emit(SimEvent::Dropped {
-                    at: self.now,
-                    msg: id,
-                    node,
-                    reason: DropReason::Protocol,
-                });
-                self.notify_dropped(node, &entry.msg, DropReason::Protocol);
-            }
+            self.drop_message(node, id, DropReason::Protocol);
         }
     }
 
@@ -936,15 +883,7 @@ impl Simulation {
             if self.buffers[i].fits(incoming.size) {
                 break;
             }
-            if let Some(entry) = self.buffers[i].remove(v) {
-                self.emit(SimEvent::Dropped {
-                    at: self.now,
-                    msg: v,
-                    node,
-                    reason: DropReason::BufferFull,
-                });
-                self.notify_dropped(node, &entry.msg, DropReason::BufferFull);
-            }
+            self.drop_message(node, v, DropReason::BufferFull);
         }
         self.buffers[i].fits(incoming.size)
     }
@@ -975,27 +914,9 @@ impl Simulation {
         let to = pair.other(from);
         let epoch = link.epoch;
 
-        let plan = {
-            let mut purge = std::mem::take(&mut self.purge_scratch);
-            let plan = {
-                let link = &self.links[slot as usize];
-                let mut ctx = ContactCtx {
-                    now: self.now,
-                    me: from,
-                    peer: to,
-                    buf: &self.buffers[from.idx()],
-                    peer_buf: &self.buffers[to.idx()],
-                    stats: &mut self.stats,
-                    sent: SentSet::new(&link.sent[di], epoch),
-                    purge: &mut purge,
-                };
-                self.routers[from.idx()].pick_transfer(&mut ctx)
-            };
-            self.apply_purges(from, &mut purge);
-            self.purge_scratch = purge;
-            plan
-        };
-        let Some(plan) = plan else {
+        let Some(plan) =
+            self.contact_hook(from, to, Some((slot, di)), |r, _, ctx| r.pick_transfer(ctx))
+        else {
             return;
         };
         if !self.validate_plan(slot, from, to, &plan) {

@@ -2,9 +2,15 @@
 //!
 //! Each node runs one [`Router`] instance. The engine drives routers through
 //! callbacks; routers never mutate buffers directly — they *propose* transfers
-//! ([`TransferPlan`]) and *request* purges (via [`ContactCtx::purge`]), and the
-//! engine applies them. This keeps every byte of buffer accounting in one
-//! place and makes protocol implementations short and auditable.
+//! ([`TransferPlan`]) and *request* purges (via [`NodeCtx::purge`] or
+//! [`ContactCtx::purge`]), and the engine applies them. This keeps every byte
+//! of buffer accounting in one place and makes protocol implementations short
+//! and auditable. Every callback that takes a context runs on one engine
+//! path, which builds the context, runs the callback and then applies its
+//! purges, so a purge requested from any callback, `on_dropped` included,
+//! is applied the same way: the message leaves the buffer once, counts as a
+//! [`DropReason::Protocol`] drop and comes back through
+//! [`Router::on_dropped`].
 //!
 //! Control-plane exchange (summary vectors, delivery predictabilities,
 //! meeting-interval matrices, ...) happens in [`Router::on_contact_up`], where

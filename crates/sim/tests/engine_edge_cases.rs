@@ -311,3 +311,194 @@ fn full_split_is_legal() {
     assert!(stats.relayed >= 1, "the full split must transfer");
     assert_eq!(stats.delivered, 0, "destination is never met");
 }
+
+/// The router hooks that get a context, as a purge script names them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Hook {
+    Created,
+    ContactUp,
+    Pick,
+    Sent,
+    Received,
+    DeliveryReceived,
+    ContactDown,
+    Tick,
+    Dropped,
+}
+
+/// What the purge script saw: the purges each hook requested and every
+/// `on_dropped` call.
+#[derive(Default)]
+struct PurgeLog {
+    requested: Vec<(Hook, MessageId)>,
+    dropped: Vec<(NodeId, MessageId, DropReason)>,
+}
+
+/// A router that, from each hook of its script, asks to purge the message
+/// the script names while it holds it, and sends a scripted list of plans.
+struct Purger {
+    script: Vec<(Hook, MessageId)>,
+    sends: std::collections::VecDeque<TransferPlan>,
+    log: std::rc::Rc<std::cell::RefCell<PurgeLog>>,
+}
+
+impl Purger {
+    fn purge(&self, hook: Hook, buf: &Buffer, purge: &mut Vec<MessageId>) {
+        for &(h, m) in &self.script {
+            if h == hook && buf.contains(m) {
+                purge.push(m);
+                self.log.borrow_mut().requested.push((h, m));
+            }
+        }
+    }
+}
+
+impl Router for Purger {
+    fn label(&self) -> &'static str {
+        "purger"
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn on_message_created(&mut self, ctx: &mut NodeCtx<'_>, msg: MessageId) {
+        // A message purged by this hook is purged at a later creation.
+        if !self.script.contains(&(Hook::Created, msg)) {
+            self.purge(Hook::Created, ctx.buf, ctx.purge);
+        }
+    }
+    fn on_contact_up(&mut self, ctx: &mut ContactCtx<'_>, _peer: &mut dyn Router) {
+        self.purge(Hook::ContactUp, ctx.buf, ctx.purge);
+    }
+    fn pick_transfer(&mut self, ctx: &mut ContactCtx<'_>) -> Option<TransferPlan> {
+        self.purge(Hook::Pick, ctx.buf, ctx.purge);
+        self.sends.pop_front()
+    }
+    fn on_sent(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        _msg: &Message,
+        _action: TransferAction,
+        _to: NodeId,
+        _delivered: bool,
+    ) {
+        self.purge(Hook::Sent, ctx.buf, ctx.purge);
+    }
+    fn on_received(&mut self, ctx: &mut NodeCtx<'_>, _entry: &BufferEntry, _from: NodeId) {
+        self.purge(Hook::Received, ctx.buf, ctx.purge);
+    }
+    fn on_delivery_received(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        _msg: &Message,
+        _from: NodeId,
+        _first: bool,
+    ) {
+        self.purge(Hook::DeliveryReceived, ctx.buf, ctx.purge);
+    }
+    fn on_contact_down(&mut self, ctx: &mut NodeCtx<'_>, _peer: NodeId) {
+        self.purge(Hook::ContactDown, ctx.buf, ctx.purge);
+    }
+    fn tick_interval(&self) -> Option<f64> {
+        Some(30.0)
+    }
+    fn on_tick(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.purge(Hook::Tick, ctx.buf, ctx.purge);
+    }
+    fn on_dropped(&mut self, ctx: &mut NodeCtx<'_>, msg: &Message, reason: DropReason) {
+        self.log.borrow_mut().dropped.push((ctx.me, msg.id, reason));
+        self.purge(Hook::Dropped, ctx.buf, ctx.purge);
+    }
+}
+
+/// Every hook that gets a context can purge: the engine applies each
+/// request once, counts it once as a protocol drop and reports it back
+/// through `on_dropped`, including a purge requested from `on_dropped`
+/// while another purge is applied.
+#[test]
+fn purges_apply_from_every_hook() {
+    // Node 0 holds a..g plus x (copied to node 1) and y (delivered to it);
+    // node 1 holds h and i. Node 3, the destination, is never met.
+    let (a, b, c, d, e, f, g, x, y, h, i) = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10);
+    let mut wl: Vec<MessageSpec> = (1..=8)
+        .map(|t| msg(0, 3, f64::from(t), 25_000, 900.0))
+        .collect();
+    wl.push(msg(0, 1, 9.0, 25_000, 900.0));
+    wl.extend((1..=2).map(|t| msg(1, 3, f64::from(t), 25_000, 900.0)));
+    let node0 = [
+        (Hook::Created, a),
+        (Hook::Dropped, b),
+        (Hook::ContactUp, c),
+        (Hook::Pick, d),
+        (Hook::Sent, e),
+        (Hook::ContactDown, f),
+        (Hook::Tick, g),
+    ];
+    let node1 = [(Hook::Received, h), (Hook::DeliveryReceived, i)];
+    let trace = ContactTrace::new(4, 100.0, vec![Contact::new(0, 1, 10.0, 20.0)]);
+    let log = std::rc::Rc::new(std::cell::RefCell::new(PurgeLog::default()));
+    let shared = std::rc::Rc::clone(&log);
+    let mut sim = Simulation::new(&trace, wl, SimConfig::paper(0), move |id, _| {
+        let (script, sends): (&[(Hook, u32)], Vec<TransferPlan>) = match id.0 {
+            0 => (
+                &node0,
+                vec![
+                    TransferPlan::copy(MessageId(x)),
+                    TransferPlan::forward(MessageId(y)),
+                ],
+            ),
+            1 => (&node1, vec![]),
+            _ => (&[], vec![]),
+        };
+        Box::new(Purger {
+            script: script.iter().map(|&(h, m)| (h, MessageId(m))).collect(),
+            sends: sends.into(),
+            log: std::rc::Rc::clone(&shared),
+        })
+    });
+    let stats = sim.run_to_end().clone();
+
+    let purged: Vec<(NodeId, u32)> = node0
+        .iter()
+        .map(|&(_, m)| (NodeId(0), m))
+        .chain(node1.iter().map(|&(_, m)| (NodeId(1), m)))
+        .collect();
+    let log = log.borrow();
+    let mut hooks: Vec<Hook> = log.requested.iter().map(|&(h, _)| h).collect();
+    hooks.sort();
+    assert_eq!(
+        hooks,
+        [
+            Hook::Created,
+            Hook::ContactUp,
+            Hook::Pick,
+            Hook::Sent,
+            Hook::Received,
+            Hook::DeliveryReceived,
+            Hook::ContactDown,
+            Hook::Tick,
+            Hook::Dropped,
+        ],
+        "each hook asks for its purge once: {:?}",
+        log.requested
+    );
+    let mut dropped = log.dropped.clone();
+    dropped.sort_by_key(|&(node, m, _)| (node, m));
+    let want: Vec<(NodeId, MessageId, DropReason)> = purged
+        .iter()
+        .map(|&(node, m)| (node, MessageId(m), DropReason::Protocol))
+        .collect();
+    assert_eq!(
+        dropped, want,
+        "each purge comes back once through on_dropped"
+    );
+    assert_eq!(stats.drops_protocol, purged.len() as u64);
+    assert_eq!((stats.drops_buffer, stats.drops_ttl), (0, 0));
+    for &(node, m) in &purged {
+        assert!(
+            !sim.buffer(node).contains(MessageId(m)),
+            "{m} left {node:?}"
+        );
+    }
+    assert!(sim.buffer(NodeId(1)).contains(MessageId(x)), "x was copied");
+    assert_eq!(stats.delivered, 1, "y was delivered");
+}

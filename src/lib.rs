@@ -53,8 +53,7 @@ pub use dtn_sim as sim;
 /// One-stop imports for examples and downstream binaries.
 pub mod prelude {
     pub use ce_core::{
-        cr_factory, CommunityMap, ContactHistory, Cr, CrConfig, Eer, EerConfig, MemdSolver,
-        MiMatrix,
+        cr_factory, CommunityMap, ContactHistory, Cr, CrConfig, Eer, EerConfig, MiMatrix,
     };
     pub use dtn_mobility::scenario::{Scenario, ScenarioConfig};
     pub use dtn_mobility::{
